@@ -1,9 +1,11 @@
 // Experiments Q1/Q2 (Section 2): the two example queries on the planes
 // relation, plus the D4 ablation (unit bounding cubes + R-tree for the
-// spatio-temporal join).
+// spatio-temporal join), and per-period window aggregates over the
+// fleet as a function of the window count.
 
 #include <benchmark/benchmark.h>
 
+#include "db/modb.h"
 #include "db/query.h"
 #include "gen/flights_gen.h"
 #include "temporal/lifted_ops.h"
@@ -122,6 +124,41 @@ void BM_Q2_PredicateOnly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Q2_PredicateOnly);
+
+// Sliding window aggregates (width = 2 × step) over the day through
+// Db::Run on 1024 flights, with a 5000 × 5000 qualification rect —
+// the analytic_scan request shape at 64, 1024 and 16384 windows. The
+// unit sweep's cost grows with the (unit, window) overlaps, not with
+// windows × rows.
+void BM_WindowAggregate(benchmark::State& state) {
+  Db db;
+  if (!db.Register(Planes(1024)).ok()) {
+    state.SkipWithError("registering the planes relation failed");
+    return;
+  }
+  QueryRequest q;
+  q.kind = QueryRequest::Kind::kWindowAggregate;
+  q.relation = "planes";
+  q.attr = "flight";
+  q.window_t0 = 0;
+  q.window_t1 = 24;
+  q.window_step = 24.0 / double(state.range(0));
+  q.window_width = 2 * q.window_step;
+  q.min_x = 2500;
+  q.min_y = 2500;
+  q.max_x = 7500;
+  q.max_y = 7500;
+  for (auto _ : state) {
+    Result<QueryResult> r = db.Run(q);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_WindowAggregate)->Arg(64)->Arg(1024)->Arg(16384)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace modb

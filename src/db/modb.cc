@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "core/interval.h"
@@ -103,123 +102,9 @@ Result<exec::Predicate> LowerFilter(const Relation& rel,
                                  std::to_string(int(f.kind)));
 }
 
-// ---- window aggregation (kWindowAggregate) --------------------------------
-
 // Hard ceiling on emitted windows: one row each, so this bounds both
-// the response size and the serial aggregation loop.
+// the response size and the sweep's per-window totals.
 constexpr std::uint64_t kMaxWindows = std::uint64_t(1) << 20;
-
-// A set of instants {t : lo <= t <= hi} with endpoint closedness — the
-// working type of the exact window/unit/rect intersection. All three
-// operand kinds lower to it: unit intervals (their own closedness),
-// windows (closed-open), rect crossing ranges (closed).
-struct TRange {
-  double lo = 0;
-  double hi = 0;
-  bool lc = true;
-  bool rc = true;
-  bool empty = false;
-};
-
-TRange EmptyRange() {
-  TRange r;
-  r.empty = true;
-  return r;
-}
-
-TRange IntersectRanges(const TRange& a, const TRange& b) {
-  if (a.empty || b.empty) return EmptyRange();
-  TRange r;
-  if (a.lo > b.lo) {
-    r.lo = a.lo;
-    r.lc = a.lc;
-  } else if (b.lo > a.lo) {
-    r.lo = b.lo;
-    r.lc = b.lc;
-  } else {
-    r.lo = a.lo;
-    r.lc = a.lc && b.lc;
-  }
-  if (a.hi < b.hi) {
-    r.hi = a.hi;
-    r.rc = a.rc;
-  } else if (b.hi < a.hi) {
-    r.hi = b.hi;
-    r.rc = b.rc;
-  } else {
-    r.hi = a.hi;
-    r.rc = a.rc && b.rc;
-  }
-  // A degenerate instant survives only if BOTH operands actually
-  // contain it — this is what makes a fix exactly on a window edge
-  // count in exactly one window.
-  if (r.lo > r.hi || (r.lo == r.hi && !(r.lc && r.rc))) return EmptyRange();
-  return r;
-}
-
-// Time range where c0 + c1*t lies in [lo, hi] (closed): a closed
-// interval for c1 != 0, everything or nothing for constant motion.
-TRange AxisCrossingRange(double c0, double c1, double lo, double hi) {
-  TRange r;
-  if (c1 == 0) {
-    if (c0 < lo || c0 > hi) return EmptyRange();
-    r.lo = -std::numeric_limits<double>::infinity();
-    r.hi = std::numeric_limits<double>::infinity();
-    return r;
-  }
-  double a = (lo - c0) / c1;
-  double b = (hi - c0) / c1;
-  if (a > b) std::swap(a, b);
-  r.lo = a;
-  r.hi = b;
-  return r;
-}
-
-TRange RangeOfInterval(const TimeInterval& iv) {
-  TRange r;
-  r.lo = iv.start();
-  r.hi = iv.end();
-  r.lc = iv.left_closed();
-  r.rc = iv.right_closed();
-  return r;
-}
-
-// Per-object accumulation over one window: presence inside the rect,
-// plus distance traveled / time covered under the TEMPORAL clip only
-// (the rect does not clip distance — documented in docs/INGEST.md).
-struct WindowRowAgg {
-  bool qualifies = false;
-  double distance = 0;
-  double covered = 0;
-};
-
-WindowRowAgg AggregateRowWindow(const MovingPoint& mp, const TRange& window,
-                                bool has_rect, double min_x, double min_y,
-                                double max_x, double max_y) {
-  WindowRowAgg agg;
-  for (const UPoint& u : mp.units()) {
-    const TimeInterval& iv = u.interval();
-    if (iv.end() < window.lo) continue;
-    if (iv.start() > window.hi) break;
-    const TRange clip = IntersectRanges(RangeOfInterval(iv), window);
-    if (clip.empty) continue;
-    const double dur = clip.hi - clip.lo;
-    agg.distance += u.Speed() * dur;
-    agg.covered += dur;
-    if (!agg.qualifies) {
-      if (!has_rect) {
-        agg.qualifies = true;
-      } else {
-        const LinearMotion& m = u.motion();
-        const TRange q = IntersectRanges(
-            IntersectRanges(clip, AxisCrossingRange(m.x0, m.x1, min_x, max_x)),
-            AxisCrossingRange(m.y0, m.y1, min_y, max_y));
-        if (!q.empty) agg.qualifies = true;
-      }
-    }
-  }
-  return agg;
-}
 
 // MutationResult <-> the live relation's stored ack type (identical
 // fields; live_relation.h cannot see MutationResult without a cycle).
@@ -520,7 +405,8 @@ Result<QueryResult> Db::Run(const QueryRequest& req,
                             const ExecOptions& options) const {
   MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
   // Expired-on-arrival fails before touching any relation (the morsel
-  // engine and the serial batch loops below re-check cooperatively).
+  // engine and the serial present-batch loop below re-check
+  // cooperatively).
   if (options.deadline &&
       std::chrono::steady_clock::now() >= *options.deadline) {
     MODB_COUNTER_INC("exec.deadline_exceeded");
@@ -706,19 +592,18 @@ Result<QueryResult> Db::Run(const QueryRequest& req,
         return Status::InvalidArgument(
             "window sweep is inverted: window_t1 < window_t0");
       }
-      if ((req.window_t1 - req.window_t0) / req.window_step >
-          double(kMaxWindows)) {
+      // Counted with the emission predicate itself, so the cap bounds
+      // exactly the rows the sweep emits.
+      const std::uint64_t num_windows = exec::CountWindows(
+          req.window_t0, req.window_t1, req.window_step, kMaxWindows);
+      if (num_windows > kMaxWindows) {
         return Status::InvalidArgument(
             "window sweep would emit more than " +
             std::to_string(kMaxWindows) + " windows");
       }
-      // The rect is optional: an inverted rect means no spatial
-      // constraint (every defined instant qualifies).
-      const bool has_rect = req.min_x <= req.max_x && req.min_y <= req.max_y;
 
-      // Filters ride the ordinary select pipeline first, so pushdown,
-      // stats, and determinism behave exactly as for kSelect; the
-      // aggregation below is a serial pass in row order.
+      // Filters and the sweep run as one pipeline, so pushdown, stats,
+      // and deadlines behave exactly as for kSelect.
       exec::LogicalQuery q;
       q.rel = &src_rel;
       for (const FilterSpec& f : req.filters) {
@@ -726,61 +611,25 @@ Result<QueryResult> Db::Run(const QueryRequest& req,
         MODB_RETURN_IF_ERROR(p.status());
         q.filters.push_back(*std::move(p));
       }
+      exec::WindowSweepOp window;
+      window.attr = *slot;
+      window.t0 = req.window_t0;
+      window.step = req.window_step;
+      window.width = req.window_width;
+      window.num_windows = num_windows;
+      // The rect is optional: an inverted rect means no spatial
+      // constraint (every defined instant qualifies).
+      if (req.min_x <= req.max_x && req.min_y <= req.max_y) {
+        window.rect = Rect(req.min_x, req.min_y, req.max_x, req.max_y);
+      }
+      q.window = window;
       q.root_op = "window_aggregate";
       Result<exec::PhysicalPlan> plan = exec::PlanQuery(q);
       MODB_RETURN_IF_ERROR(plan.status());
-      Result<Relation> filtered = exec::RunPlan(*plan, run);
-      MODB_RETURN_IF_ERROR(filtered.status());
-
-      Relation out(src_rel.name() + "_win",
-                   Schema({{"w_start", AttributeType::kReal},
-                           {"w_end", AttributeType::kReal},
-                           {"count", AttributeType::kInt},
-                           {"distance", AttributeType::kReal},
-                           {"avg_speed", AttributeType::kReal}}));
-      // s = t0 + i*step (never accumulated), so window boundaries are
-      // bit-reproducible regardless of how many windows precede them.
-      for (std::uint64_t i = 0;; ++i) {
-        const Instant s = req.window_t0 + double(i) * req.window_step;
-        if (!(s < req.window_t1)) break;
-        // Per-window deadline checkpoint (the serial aggregation can
-        // sweep up to kMaxWindows windows).
-        if (run.deadline) {
-          MODB_COUNTER_INC("exec.deadline_checks");
-          if (std::chrono::steady_clock::now() >= *run.deadline) {
-            MODB_COUNTER_INC("exec.deadline_exceeded");
-            return Status::DeadlineExceeded(
-                "query execution deadline expired at window " +
-                std::to_string(i));
-          }
-        }
-        TRange window;
-        window.lo = s;
-        window.hi = s + req.window_width;
-        window.lc = true;
-        window.rc = false;  // closed-open: [s, s + width)
-        std::uint64_t count = 0;
-        double distance = 0;
-        double covered = 0;
-        for (const Tuple& t : filtered->tuples()) {
-          const WindowRowAgg agg = AggregateRowWindow(
-              std::get<MovingPoint>(t[std::size_t(*slot)]), window, has_rect,
-              req.min_x, req.min_y, req.max_x, req.max_y);
-          if (!agg.qualifies) continue;
-          ++count;
-          distance += agg.distance;
-          covered += agg.covered;
-        }
-        Tuple row;
-        row.emplace_back(RealValue(window.lo));
-        row.emplace_back(RealValue(window.hi));
-        row.emplace_back(IntValue(std::int64_t(count)));
-        row.emplace_back(RealValue(distance));
-        row.emplace_back(RealValue(covered > 0 ? distance / covered : 0.0));
-        MODB_RETURN_IF_ERROR(out.Insert(std::move(row)));
-      }
+      Result<Relation> out = exec::RunPlan(*plan, run);
+      MODB_RETURN_IF_ERROR(out.status());
       result.payload = QueryResult::Payload::kRows;
-      result.rows = std::move(out);
+      result.rows = *std::move(out);
       break;
     }
 

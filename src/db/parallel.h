@@ -99,8 +99,8 @@ struct ExecOptions {
   /// worker chunk). Null skips even the clock reads.
   obs::ExecStats* stats = nullptr;
   /// Cooperative execution deadline. Checked at morsel boundaries by
-  /// the pipelined engine (and per window / per tuple in the serial
-  /// batch loops of Db::Run) — never mid-operator, so a check costs one
+  /// the pipelined engine (and per tuple in Db::Run's serial present
+  /// batch loop) — never mid-operator, so a check costs one
   /// clock read and expiry yields a typed kDeadlineExceeded with all
   /// partial work discarded. nullopt = no deadline.
   std::optional<std::chrono::steady_clock::time_point> deadline;

@@ -29,12 +29,103 @@ struct StageCounters {
   std::uint64_t pushdown_skips = 0;
 };
 
+// ---- window sweep (WindowSweepOp) ----------------------------------------
+
+// Upper bound on (rows × windows) per morsel of a window sweep: caps the
+// records one morsel can buffer (24 B each) without changing morsels of
+// ordinary grids (256 rows × 1024 windows).
+constexpr std::uint64_t kWindowCellsPerMorsel = std::uint64_t(1) << 18;
+
+// A set of instants {t : lo <= t <= hi} with endpoint closedness — the
+// working type of the exact window/unit/rect intersection. All three
+// operand kinds lower to it: unit intervals (their own closedness),
+// windows (closed-open), rect crossing ranges (closed).
+struct TRange {
+  double lo = 0;
+  double hi = 0;
+  bool lc = true;
+  bool rc = true;
+  bool empty = false;
+};
+
+TRange EmptyRange() {
+  TRange r;
+  r.empty = true;
+  return r;
+}
+
+// Exact set intersection, so it is associative in everything observed
+// (emptiness and bounds).
+TRange IntersectRanges(const TRange& a, const TRange& b) {
+  if (a.empty || b.empty) return EmptyRange();
+  TRange r;
+  if (a.lo > b.lo) {
+    r.lo = a.lo;
+    r.lc = a.lc;
+  } else if (b.lo > a.lo) {
+    r.lo = b.lo;
+    r.lc = b.lc;
+  } else {
+    r.lo = a.lo;
+    r.lc = a.lc && b.lc;
+  }
+  if (a.hi < b.hi) {
+    r.hi = a.hi;
+    r.rc = a.rc;
+  } else if (b.hi < a.hi) {
+    r.hi = b.hi;
+    r.rc = b.rc;
+  } else {
+    r.hi = a.hi;
+    r.rc = a.rc && b.rc;
+  }
+  // A degenerate instant survives only if BOTH operands actually
+  // contain it — this is what makes a fix exactly on a window edge
+  // count in exactly one window.
+  if (r.lo > r.hi || (r.lo == r.hi && !(r.lc && r.rc))) return EmptyRange();
+  return r;
+}
+
+// Time range where c0 + c1*t lies in [lo, hi] (closed): a closed
+// interval for c1 != 0, everything or nothing for constant motion.
+TRange AxisCrossingRange(double c0, double c1, double lo, double hi) {
+  TRange r;
+  if (c1 == 0) {
+    if (c0 < lo || c0 > hi) return EmptyRange();
+    r.lo = -std::numeric_limits<double>::infinity();
+    r.hi = std::numeric_limits<double>::infinity();
+    return r;
+  }
+  double a = (lo - c0) / c1;
+  double b = (hi - c0) / c1;
+  if (a > b) std::swap(a, b);
+  r.lo = a;
+  r.hi = b;
+  return r;
+}
+
+// A row's running aggregate in one window, summed in unit order.
+struct WindowSlot {
+  double distance = 0;
+  double covered = 0;
+  bool qualifies = false;
+};
+
+// One qualifying (row, window) pair, buffered per morsel for the fold.
+struct WindowRecord {
+  std::uint64_t window = 0;
+  double distance = 0;
+  double covered = 0;
+};
+
 // Worker-private buffers reused across the morsels a worker claims; a
 // warm worker allocates nothing per morsel.
 struct WorkerState {
   std::vector<std::size_t> rows;  // surviving source row ids
   std::vector<Tuple> mat;         // materialized tuples (spilled scan)
   ProbeScratch probe;
+  std::vector<WindowSlot> slots;       // one row's windows, from its base
+  std::vector<WindowRecord> records;   // this morsel's window records
   std::vector<StageCounters> stages;
   std::uint64_t morsels = 0;
   std::uint64_t morsels_stolen = 0;
@@ -148,8 +239,156 @@ void ProbeNestedLoopRow(const Tuple& outer, std::size_t outer_row,
   }
 }
 
+// Smallest window i in [lo, num_windows) with s_i + width >= start —
+// the first window a unit starting at `start` can overlap — or
+// num_windows when there is none. s_i + width is non-decreasing in i.
+std::uint64_t FirstWindowReaching(const WindowSweepOp& op, Instant start,
+                                  std::uint64_t lo) {
+  std::uint64_t hi = op.num_windows;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (op.Start(mid) + op.width >= start) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+// Sweeps one row's units across the windows each overlaps and appends
+// one record per qualifying window, in window order. A unit visits
+// window i iff end >= s_i and start <= s_i + width, and adds into the
+// row's slot for i in unit order; the rect-crossing range and speed
+// are computed once per unit.
+void SweepWindowRow(const MovingPoint& mp, const WindowSweepOp& op,
+                    WorkerState* w, StageCounters* s) {
+  std::vector<WindowSlot>& slots = w->slots;
+  std::uint64_t cursor = 0;
+  std::uint64_t base = 0;  // window of slots[0] (no unit visits earlier)
+  std::size_t used = 0;    // slots[0, used) may hold contributions
+  bool started = false;
+  for (const UPoint& u : mp.units()) {
+    ++s->units_scanned;
+    const TimeInterval& iv = u.interval();
+    cursor = FirstWindowReaching(op, iv.start(), cursor);
+    if (cursor == op.num_windows) break;  // later units start later still
+    if (!started) {
+      base = cursor;
+      started = true;
+    }
+    TRange unit;
+    unit.lo = iv.start();
+    unit.hi = iv.end();
+    unit.lc = iv.left_closed();
+    unit.rc = iv.right_closed();
+    const double speed = u.Speed();
+    TRange inside;
+    if (op.rect) {
+      const LinearMotion& m = u.motion();
+      inside = IntersectRanges(
+          AxisCrossingRange(m.x0, m.x1, op.rect->min_x, op.rect->max_x),
+          AxisCrossingRange(m.y0, m.y1, op.rect->min_y, op.rect->max_y));
+    }
+    for (std::uint64_t i = cursor; i < op.num_windows; ++i) {
+      TRange window;
+      window.lo = op.Start(i);
+      if (iv.end() < window.lo) break;
+      window.hi = window.lo + op.width;
+      window.rc = false;  // closed-open: [s, s + width)
+      const TRange clip = IntersectRanges(unit, window);
+      if (clip.empty) continue;
+      const std::size_t k = std::size_t(i - base);
+      if (k >= slots.size()) slots.resize(k + 1);
+      used = std::max(used, k + 1);
+      WindowSlot& slot = slots[k];
+      const double dur = clip.hi - clip.lo;
+      slot.distance += speed * dur;
+      slot.covered += dur;
+      if (!slot.qualifies) {
+        slot.qualifies = !op.rect || !IntersectRanges(clip, inside).empty;
+      }
+    }
+  }
+  for (std::size_t k = 0; k < used; ++k) {
+    WindowSlot& slot = slots[k];
+    if (slot.qualifies) {
+      w->records.push_back({base + k, slot.distance, slot.covered});
+    }
+    slot = WindowSlot{};
+  }
+}
+
+// Per-window totals, folded from the morsels' record buffers strictly
+// in morsel order — ascending source-row order — so each sum adds the
+// same operands in the same order as a serial row-by-row pass. A morsel
+// that finishes ahead of a predecessor parks its buffer until the
+// prefix before it has been folded; in-order morsels fold at once, so
+// a serial run never buffers more than one morsel.
+class WindowFold {
+ public:
+  WindowFold(std::size_t num_morsels, std::uint64_t num_windows)
+      : parked_(num_morsels), done_(num_morsels, false),
+        totals_(num_windows) {}
+
+  // Takes morsel `seq`'s records; leaves `records` empty for reuse.
+  void Deposit(std::size_t seq, std::vector<WindowRecord>* records) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (seq != next_) {
+      parked_[seq].swap(*records);
+      done_[seq] = true;
+      return;
+    }
+    Fold(*records);
+    records->clear();
+    for (++next_; next_ < done_.size() && done_[next_]; ++next_) {
+      Fold(parked_[next_]);
+      std::vector<WindowRecord>().swap(parked_[next_]);
+    }
+  }
+
+  // Appends one row per window. Call only after every morsel deposited.
+  void Emit(const WindowSweepOp& op, Relation* out) const {
+    for (std::uint64_t i = 0; i < totals_.size(); ++i) {
+      const Total& t = totals_[i];
+      const Instant s = op.Start(i);
+      Tuple row;
+      row.emplace_back(RealValue(s));
+      row.emplace_back(RealValue(s + op.width));
+      row.emplace_back(IntValue(t.count));
+      row.emplace_back(RealValue(t.distance));
+      row.emplace_back(RealValue(t.covered > 0 ? t.distance / t.covered : 0.0));
+      // Insert cannot fail: rows conform to the window schema.
+      (void)out->Insert(std::move(row));
+    }
+  }
+
+ private:
+  struct Total {
+    std::int64_t count = 0;
+    double distance = 0;
+    double covered = 0;
+  };
+
+  void Fold(const std::vector<WindowRecord>& records) {
+    for (const WindowRecord& r : records) {
+      Total& t = totals_[r.window];
+      ++t.count;
+      t.distance += r.distance;
+      t.covered += r.covered;
+    }
+  }
+
+  std::mutex mu_;
+  std::vector<std::vector<WindowRecord>> parked_;
+  std::vector<bool> done_;
+  std::size_t next_ = 0;
+  std::vector<Total> totals_;
+};
+
 // One morsel through the fused stage chain. Returns non-OK only for
-// source faults (spilled page errors); predicate work never fails.
+// source faults (spilled page errors); predicate work never fails. A
+// window sweep leaves its records in w->records and takes no `out`.
 Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
                      const Morsel& m, WorkerState* w,
                      std::vector<Tuple>* out) {
@@ -214,10 +453,19 @@ Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
     s.rows_out += kept;
   }
 
-  // Terminal: emit this morsel's output tuples.
+  // Terminal: emit this morsel's output tuples (window records for a
+  // sweep).
   StageCounters& term = w->stages[NumStages(pipe) - 1];
   term.rows_in += w->rows.size();
-  if (pipe.join) {
+  if (pipe.window) {
+    w->records.clear();
+    const std::size_t attr = std::size_t(pipe.window->attr);
+    for (std::size_t k = 0; k < w->rows.size(); ++k) {
+      SweepWindowRow(std::get<MovingPoint>(tuple_at(k)[attr]), *pipe.window,
+                     w, &term);
+    }
+    term.rows_out += w->records.size();
+  } else if (pipe.join) {
     for (std::size_t k = 0; k < w->rows.size(); ++k) {
       if (pipe.join->kind == JoinProbeOp::Kind::kIndex) {
         ProbeIndexJoinRow(tuple_at(k), w->rows[k], *pipe.join, view, out,
@@ -241,13 +489,14 @@ Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
       out->push_back(tuple_at(k));
     }
   }
-  term.rows_out += out->size();
+  if (!pipe.window) term.rows_out += out->size();
   return Status::OK();
 }
 
 const char* TerminalOpName(const Pipeline& pipe) {
   if (pipe.join) return "join_probe";
   if (pipe.project) return "project";
+  if (pipe.window) return "window_sweep";
   return "sink";
 }
 
@@ -259,12 +508,18 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
                    ExecStats* node) {
   const std::size_t n = pipe.NumSourceRows();
   const std::size_t workers = ResolveWorkerCount(options.parallel);
-  const std::size_t morsel_rows =
-      PickMorselRows(n, workers, pipe.morsel_rows);
+  std::size_t morsel_rows = PickMorselRows(n, workers, pipe.morsel_rows);
+  if (pipe.window && pipe.morsel_rows == 0 && pipe.window->num_windows > 0) {
+    morsel_rows = std::min<std::size_t>(
+        morsel_rows, std::max<std::uint64_t>(
+                         1, kWindowCellsPerMorsel / pipe.window->num_windows));
+  }
   MorselScheduler sched(n, morsel_rows, workers);
   const std::size_t num_morsels = sched.num_morsels();
 
-  std::vector<std::vector<Tuple>> outputs(num_morsels);
+  std::vector<std::vector<Tuple>> outputs(pipe.window ? 0 : num_morsels);
+  std::optional<WindowFold> fold;
+  if (pipe.window) fold.emplace(num_morsels, pipe.window->num_windows);
   std::vector<WorkerState> states(workers);
   for (WorkerState& w : states) w.stages.resize(NumStages(pipe));
   FirstError error;
@@ -296,8 +551,13 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
       }
       ++state.morsels;
       if (stolen) ++state.morsels_stolen;
-      Status s = ProcessMorsel(pipe, view, m, &state, &outputs[m.seq]);
-      if (!s.ok()) error.Record(m.seq, std::move(s));
+      Status s = ProcessMorsel(pipe, view, m, &state,
+                               fold ? nullptr : &outputs[m.seq]);
+      if (!s.ok()) {
+        error.Record(m.seq, std::move(s));
+      } else if (fold) {
+        fold->Deposit(m.seq, &state.records);
+      }
     }
   };
 
@@ -323,8 +583,10 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
   if (error.Failed()) return error.Take();
 
   // Deterministic sink: concatenate per-morsel outputs in ascending
-  // sequence order — ascending source-row order, the serial order.
-  for (std::size_t seq = 0; seq < num_morsels; ++seq) {
+  // sequence order — ascending source-row order, the serial order (the
+  // window fold already consumed its morsels in that order).
+  if (fold) fold->Emit(*pipe.window, out);
+  for (std::size_t seq = 0; seq < outputs.size(); ++seq) {
     for (Tuple& t : outputs[seq]) {
       // Insert cannot fail: tuples conform to the output schema.
       (void)out->Insert(std::move(t));
@@ -392,6 +654,27 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
 }
 
 }  // namespace
+
+std::uint64_t CountWindows(Instant t0, Instant t1, Instant step,
+                           std::uint64_t limit) {
+  WindowSweepOp grid;
+  grid.t0 = t0;
+  grid.step = step;
+  // s_i is non-decreasing in i, so the emitted windows are a prefix
+  // [0, count) and count is the first i failing s_i < t1.
+  if (grid.Start(limit) < t1) return limit + 1;
+  std::uint64_t lo = 0;
+  std::uint64_t hi = limit;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (grid.Start(mid) < t1) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
 
 Result<Relation> RunPlan(const PhysicalPlan& plan, const ExecOptions& options) {
   MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));

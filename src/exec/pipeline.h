@@ -3,7 +3,7 @@
 // order. A pipeline streams fixed-size morsels (row ranges over its
 // source) through a fused stage chain
 //
-//   Scan → Select* → (Project | Join probe | none) → Sink
+//   Scan → Select* → (Project | Join probe | Window sweep | none) → Sink
 //
 // with work-stealing across a shared ThreadPool: each worker claims a
 // morsel, runs it through every stage on its own stack (no Relation is
@@ -20,7 +20,9 @@
 //      reset per morsel; stats are commutative counters).
 //   3. The sink concatenates per-morsel outputs in ascending sequence
 //      order, which equals ascending source-row order — exactly the
-//      order a serial loop produces.
+//      order a serial loop produces. The window sweep's sink folds
+//      per-morsel records into per-window totals in that same order,
+//      so every floating-point sum sees its operands in row order.
 //
 // Plans are built by the rule-based planner (exec/planner.h); the
 // db/query.h operators are thin wrappers that plan and run here.
@@ -29,6 +31,7 @@
 #define MODB_EXEC_PIPELINE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -43,6 +46,7 @@
 #include "index/delta_index.h"
 #include "index/rtree3d.h"
 #include "obs/exec_stats.h"
+#include "spatial/bbox.h"
 
 namespace modb {
 namespace exec {
@@ -108,6 +112,36 @@ struct JoinProbeOp {
   int build_step = -1;
 };
 
+/// Terminal window-aggregate stage over the moving-point attribute
+/// `attr`: window i is [s_i, s_i + width) with s_i = t0 + i*step, for
+/// i < num_windows. Per window the sink emits one row {w_start, w_end,
+/// count, distance, avg_speed}: how many surviving rows qualify (are
+/// inside `rect` at some instant of the window — any defined instant
+/// when `rect` is unset), and the distance / time those rows cover in
+/// it, clipped by the window only. Each unit of a row visits just the
+/// windows it overlaps, found by binary search on s_i + width >= start
+/// from a per-row cursor that only moves forward.
+struct WindowSweepOp {
+  int attr = -1;
+  Instant t0 = 0;
+  Instant step = 0;
+  Instant width = 0;
+  std::uint64_t num_windows = 0;
+  std::optional<Rect> rect;
+
+  /// s_i, computed from i by one multiply (never accumulated), so every
+  /// boundary is bit-reproducible; non-decreasing in i.
+  Instant Start(std::uint64_t i) const { return t0 + double(i) * step; }
+};
+
+/// The number of windows the grid [t0, t1) cut at `step` emits: the
+/// count of i >= 0 with t0 + i*step < t1, found by binary search on
+/// that exact predicate (never from a rounded (t1 - t0) / step).
+/// Returns limit + 1 when the count exceeds `limit`. Requires finite
+/// t0/t1 and step > 0.
+std::uint64_t CountWindows(Instant t0, Instant t1, Instant step,
+                           std::uint64_t limit);
+
 /// One streaming pipeline: exactly one source (in-memory relation or
 /// spilled relation), filters, and at most one terminal op.
 struct Pipeline {
@@ -119,7 +153,9 @@ struct Pipeline {
   std::vector<Predicate> filters;
   std::optional<ProjectOp> project;
   std::optional<JoinProbeOp> join;
-  /// Rows per morsel; 0 = PickMorselRows default.
+  std::optional<WindowSweepOp> window;
+  /// Rows per morsel; 0 = PickMorselRows default (capped for a window
+  /// sweep so one morsel buffers a bounded number of records).
   std::size_t morsel_rows = 0;
 
   std::size_t NumSourceRows() const {
@@ -159,8 +195,11 @@ struct PhysicalPlan {
 /// (lowest ready index first); each pipeline step runs morsel-parallel
 /// per `options.parallel` with per-worker ExecStats accumulation.
 /// When `options.stats` is set, the node gets one child per stage
-/// ("build_index", "scan", "select", "project", "join_probe") with
-/// rows in/out, morsels scheduled/stolen, and pushdown skips; the
+/// ("build_index", "scan", "select", "project", "join_probe",
+/// "window_sweep") with rows in/out, morsels scheduled/stolen, units
+/// scanned, and pushdown skips (a window sweep's rows out are its
+/// qualifying (row, window) pairs; the root's tuples out are the
+/// emitted windows); the
 /// root's `materializations` counts Relations the plan materialized —
 /// always exactly 1 (the sink), which is what "zero intermediate
 /// materializations" means operationally.

@@ -65,11 +65,28 @@ Status ValidateQuery(const LogicalQuery& q) {
     return Status::InvalidArgument(
         "logical query needs exactly one source (rel or spilled)");
   }
-  if (q.project && q.join) {
+  if (int(q.project.has_value()) + int(q.join.has_value()) +
+          int(q.window.has_value()) >
+      1) {
     return Status::InvalidArgument(
-        "a pipeline terminal is a projection or a join, not both");
+        "a pipeline has at most one terminal: projection, join, or window "
+        "sweep");
   }
   const Schema& schema = SourceSchema(q);
+  if (q.window) {
+    const int attr = q.window->attr;
+    if (attr < 0 || std::size_t(attr) >= schema.NumAttributes() ||
+        schema.attribute(std::size_t(attr)).type !=
+            AttributeType::kMovingPoint) {
+      return Status::InvalidArgument("window sweep attribute " +
+                                     std::to_string(attr) +
+                                     " is not a moving point of the source");
+    }
+    if (!(q.window->step > 0) || !(q.window->width > 0)) {
+      return Status::InvalidArgument(
+          "window sweep needs step > 0 and width > 0");
+    }
+  }
   for (const Predicate& p : q.filters) {
     if (!p.fn) {
       return Status::InvalidArgument("filter predicate is empty");
@@ -158,6 +175,7 @@ std::optional<TimeWindow> PushdownWindow(const LogicalQuery& q) {
 
 std::string DeriveOutName(const LogicalQuery& q, bool use_index_join) {
   std::string name = q.rel != nullptr ? q.rel->name() : q.spilled->name();
+  if (q.window) return name + "_win";
   if (!q.filters.empty()) name += "_sel";
   if (q.join) {
     name += use_index_join ? "_ix_" : "_x_";
@@ -204,6 +222,7 @@ std::string PlanCacheKey(const LogicalQuery& q) {
     AppendSchemaSig(j.inner->schema(), &key);
     key += " m~" + std::to_string(SizeBucket(j.inner->NumTuples()));
   }
+  if (q.window) key += "|window " + std::to_string(q.window->attr);
   return key;
 }
 
@@ -319,6 +338,13 @@ Result<PhysicalPlan> PlanQuery(const LogicalQuery& q) {
     for (int idx : *q.project) defs.push_back(schema.attribute(std::size_t(idx)));
     plan.out_schema = Schema(std::move(defs));
     pipe.project = ProjectOp{*q.project};
+  } else if (q.window) {
+    plan.out_schema = Schema({{"w_start", AttributeType::kReal},
+                              {"w_end", AttributeType::kReal},
+                              {"count", AttributeType::kInt},
+                              {"distance", AttributeType::kReal},
+                              {"avg_speed", AttributeType::kReal}});
+    pipe.window = q.window;
   } else {
     plan.out_schema = schema;
   }

@@ -39,8 +39,8 @@ namespace modb {
 namespace exec {
 
 /// Declarative query description. Exactly one of rel/spilled is the
-/// source; filters apply in order; at most one of project/join is the
-/// terminal. The planner copies predicates into the plan but only
+/// source; filters apply in order; at most one of project/join/window
+/// is the terminal. The planner copies predicates into the plan but only
 /// points at relations/indexes — sources must outlive the returned
 /// PhysicalPlan's execution.
 struct LogicalQuery {
@@ -75,9 +75,14 @@ struct LogicalQuery {
   };
   std::optional<JoinSpec> join;
 
+  /// Window aggregation over a moving-point attribute of the source;
+  /// the output is one row per window (exec/pipeline.h WindowSweepOp).
+  std::optional<WindowSweepOp> window;
+
   /// Output relation name; "" derives the legacy operator-chain name
-  /// (source + "_sel" / "_proj" / "_x_" / "_ix_" suffixes), which is
-  /// what keeps pipelined output byte-identical to composed operators.
+  /// (source + "_sel" / "_proj" / "_x_" / "_ix_" suffixes, or source +
+  /// "_win" for a window sweep whatever its filters), which is what
+  /// keeps pipelined output byte-identical to composed operators.
   std::string out_name;
   /// Root ExecStats op label ("select", "pipeline", ...).
   std::string root_op = "pipeline";

@@ -416,6 +416,20 @@ TEST(LiveDifferential, WindowValidationIsTyped) {
   q.window_t1 = 1e18;  // way past the window-count cap
   q.window_step = 1e-9;
   EXPECT_EQ(StatusCode::kInvalidArgument, db.Run(q).status().code());
+  // (t1 - t0) / step rounds to within the 2^20 cap, but the emission
+  // predicate t0 + i*step < t1 still holds at i = 2^20: one window too
+  // many, so the request is rejected, not answered with 2^20 + 1 rows.
+  q.window_t0 = -171372.0013984514;
+  q.window_t1 = 3678201.0488452134;
+  q.window_step = 3.6712389471470495;
+  ASSERT_LE((q.window_t1 - q.window_t0) / q.window_step, double(1 << 20));
+  EXPECT_EQ(StatusCode::kInvalidArgument, db.Run(q).status().code());
+  // Ending the sweep at s_{2^20} itself emits exactly 2^20 windows, the
+  // cap, and is answered.
+  q.window_t1 = q.window_t0 + double(1 << 20) * q.window_step;
+  Result<QueryResult> full = db.Run(q);
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_EQ(std::uint64_t(1) << 20, full->rows.NumTuples());
 }
 
 TEST(LiveDifferential, PersistAndRecoverResumeByteIdentically) {
