@@ -148,11 +148,8 @@ Relation Planes(int flights, std::uint64_t seed) {
 bool ClosePred(const Tuple& a, std::size_t i, const Tuple& b, std::size_t j,
                double dist) {
   if (i >= j) return false;
-  auto d = LiftedDistance(std::get<MovingPoint>(a[kFlightAttrFlight]),
-                          std::get<MovingPoint>(b[kFlightAttrFlight]));
-  if (!d.ok() || d->IsEmpty()) return false;
-  auto am = AtMin(*d);
-  return am.ok() && !am->IsEmpty() && am->Initial().val() < dist;
+  return EverCloserThan(std::get<MovingPoint>(a[kFlightAttrFlight]),
+                        std::get<MovingPoint>(b[kFlightAttrFlight]), dist);
 }
 
 // One-time check that the parallel join is byte-identical to serial

@@ -74,6 +74,20 @@ void BM_JoinPredicatePipeline(benchmark::State& state) {
 BENCHMARK(BM_JoinPredicatePipeline)->RangeMultiplier(4)->Range(16, 4096)
     ->Complexity(benchmark::oN);
 
+// The same predicate decided in one allocation-free pass over the unit
+// pairs (EverCloserThan), against the composed pipeline above.
+void BM_EverCloser(benchmark::State& state) {
+  MovingPoint a = Track(int(state.range(0)), 1);
+  MovingPoint b = Track(int(state.range(0)), 2);
+  for (auto _ : state) {
+    bool close = EverCloserThan(a, b, 50);
+    benchmark::DoNotOptimize(close);
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_EverCloser)->RangeMultiplier(4)->Range(16, 4096)
+    ->Complexity(benchmark::oN);
+
 void BM_Trajectory(benchmark::State& state) {
   MovingPoint a = Track(int(state.range(0)), 3);
   for (auto _ : state) {

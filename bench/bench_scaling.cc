@@ -59,11 +59,8 @@ bool Q1Pred(const Tuple& t) {
 bool ClosePred(const Tuple& a, std::size_t i, const Tuple& b, std::size_t j,
                double dist) {
   if (i >= j) return false;
-  auto d = LiftedDistance(std::get<MovingPoint>(a[kFlightAttrFlight]),
-                          std::get<MovingPoint>(b[kFlightAttrFlight]));
-  if (!d.ok() || d->IsEmpty()) return false;
-  auto am = AtMin(*d);
-  return am.ok() && !am->IsEmpty() && am->Initial().val() < dist;
+  return EverCloserThan(std::get<MovingPoint>(a[kFlightAttrFlight]),
+                        std::get<MovingPoint>(b[kFlightAttrFlight]), dist);
 }
 
 // Relations, prebuilt trees, and the fused plan live here; the plan

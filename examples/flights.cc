@@ -56,13 +56,11 @@ int main() {
   auto close_pred = [kCloser](const Tuple& a, std::size_t i, const Tuple& b,
                               std::size_t j) {
     if (i >= j) return false;
-    auto d = LiftedDistance(std::get<MovingPoint>(a[kFlightAttrFlight]),
-                            std::get<MovingPoint>(b[kFlightAttrFlight]));
-    if (!d.ok() || d->IsEmpty()) return false;
-    auto am = AtMin(*d);
-    if (!am.ok() || am->IsEmpty()) return false;
-    // The paper's expression: val(initial(atmin(distance(p, q)))) < c.
-    return am->Initial().val() < kCloser;
+    // The paper's expression val(initial(atmin(distance(p, q)))) < c,
+    // decided in one pass over the unit pairs.
+    return EverCloserThan(std::get<MovingPoint>(a[kFlightAttrFlight]),
+                          std::get<MovingPoint>(b[kFlightAttrFlight]),
+                          kCloser);
   };
   Relation q2 = *NestedLoopJoin(planes, planes, close_pred);
   std::printf("\nQ2: pairs of planes closer than %.0f km (%zu pairs)\n",

@@ -133,11 +133,8 @@ exec::JoinPred EverCloserPred(int slot_a, int slot_b, double dist,
   p.fn = [slot_a, slot_b, dist, distinct_pairs](
              const Tuple& a, std::size_t i, const Tuple& b, std::size_t j) {
     if (distinct_pairs && i >= j) return false;
-    Result<MovingReal> d = LiftedDistance(std::get<MovingPoint>(a[slot_a]),
-                                          std::get<MovingPoint>(b[slot_b]));
-    if (!d.ok() || d->IsEmpty()) return false;
-    Result<MovingReal> am = AtMin(*d);
-    return am.ok() && !am->IsEmpty() && am->Initial().val() < dist;
+    return EverCloserThan(std::get<MovingPoint>(a[slot_a]),
+                          std::get<MovingPoint>(b[slot_b]), dist);
   };
   p.shape = "modb.ever_closer:" + std::to_string(slot_a) + ":" +
             std::to_string(slot_b) + (distinct_pairs ? ":distinct" : "");
@@ -404,6 +401,14 @@ Status Db::DrainLive(const std::string& name) {
 Result<QueryResult> Db::Run(const QueryRequest& req,
                             const ExecOptions& options) const {
   MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
+  // A NaN distance would match nothing and an infinite one everything
+  // overlapping in time; refuse both before touching any relation.
+  if ((req.kind == QueryRequest::Kind::kJoin ||
+       req.kind == QueryRequest::Kind::kIndexJoin) &&
+      !std::isfinite(req.distance)) {
+    return Status::InvalidArgument("join distance must be finite, got " +
+                                   std::to_string(req.distance));
+  }
   // Expired-on-arrival fails before touching any relation (the morsel
   // engine and the serial present-batch loop below re-check
   // cooperatively).

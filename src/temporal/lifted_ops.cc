@@ -429,25 +429,196 @@ Result<MovingReal> AtExtremum(const MovingReal& m, bool minimum) {
       continue;
     }
     // Candidate instants: interval endpoints and the parabola vertex.
-    std::vector<Instant> candidates = {u.interval().start(),
-                                       u.interval().end()};
-    if (u.a() != 0) {
-      double vertex = -u.b() / (2 * u.a());
-      if (u.interval().ContainsOpen(vertex)) candidates.push_back(vertex);
-    }
-    for (Instant t : candidates) {
-      if (std::fabs(u.ValueAt(t) - *target) <= tol) {
-        hits.push_back(TimeInterval::At(t));
+    Instant candidates[3] = {};
+    const int n =
+        UReal::ExtremumCandidates(u.interval(), u.a(), u.b(), candidates);
+    for (int k = 0; k < n; ++k) {
+      if (std::fabs(u.ValueAt(candidates[k]) - *target) <= tol) {
+        hits.push_back(TimeInterval::At(candidates[k]));
       }
     }
   }
   return m.AtPeriods(Periods::FromIntervals(std::move(hits)));
 }
 
+// One unit of distance(p, q) as EverCloserThan keeps it: the interval,
+// the squared-distance coefficients (the radicand) and the smallest
+// radicand at the unit's extremum candidates (NaN if any is NaN).
+struct SqDistUnit {
+  TimeInterval interval;
+  double a = 0, b = 0, c = 0;
+  double low = 0;
+
+  double ValueAt(Instant t) const {
+    return UReal::Root(UReal::Poly(a, b, c, t));
+  }
+};
+
+// UReal::Make's radicand check for the root unit (a, b, c) on `iv`, on
+// the same candidate instants: false when Make would reject the unit.
+// Sets *low to the smallest radicand there, sticky on NaN.
+bool CheckRadicand(const TimeInterval& iv, double a, double b, double c,
+                   double* low) {
+  Instant ts[3] = {};
+  const int n = UReal::ExtremumCandidates(iv, a, b, ts);
+  *low = kInfinity;
+  for (int k = 0; k < n; ++k) {
+    const double v = UReal::Poly(a, b, c, ts[k]);
+    if (UReal::NegativeRadicand(v, c)) return false;
+    if (v < *low || std::isnan(v)) *low = v;
+  }
+  return true;
+}
+
+// The units of distance(p, q), built as LiftedDistance builds them but
+// without the refinement-partition vector: a two-pointer walk visits
+// every non-empty a_i ∩ b_j in time order (exactly the HasBoth() entries
+// of RefinementPartitionInto), applies LiftedDistance's coefficient
+// expressions and UReal::Make's radicand check, and merges an adjacent
+// unit with equal coefficients as MappingBuilder::Append does,
+// re-checking the merged interval. Returns false where LiftedDistance
+// fails.
+bool SqDistUnitsInto(const MovingPoint& p, const MovingPoint& q,
+                     std::vector<SqDistUnit>* out) {
+  out->clear();
+  const std::vector<UPoint>& ua = p.units();
+  const std::vector<UPoint>& ub = q.units();
+  if (ua.size() > kMaxRefinementUnits || ub.size() > kMaxRefinementUnits) {
+    return false;
+  }
+  std::size_t i = 0, j = 0;
+  while (i < ua.size() && j < ub.size()) {
+    const TimeInterval& x = ua[i].interval();
+    const TimeInterval& y = ub[j].interval();
+    if (TimeInterval::RDisjoint(x, y)) {
+      ++i;
+      continue;
+    }
+    if (TimeInterval::RDisjoint(y, x)) {
+      ++j;
+      continue;
+    }
+    // Overlap implies a non-empty intersection.
+    const TimeInterval common = *TimeInterval::Intersect(x, y);
+    const LinearMotion& ma = ua[i].motion();
+    const LinearMotion& mb = ub[j].motion();
+    double dx0 = ma.x0 - mb.x0, dx1 = ma.x1 - mb.x1;
+    double dy0 = ma.y0 - mb.y0, dy1 = ma.y1 - mb.y1;
+    SqDistUnit u{common, dx1 * dx1 + dy1 * dy1, 2 * (dx0 * dx1 + dy0 * dy1),
+                 dx0 * dx0 + dy0 * dy0, 0};
+    if (!CheckRadicand(u.interval, u.a, u.b, u.c, &u.low)) return false;
+    SqDistUnit* prev = out->empty() ? nullptr : &out->back();
+    if (prev != nullptr && TimeInterval::Adjacent(prev->interval, common) &&
+        prev->a == u.a && prev->b == u.b && prev->c == u.c) {
+      prev->interval = TimeInterval::Merge(prev->interval, common);
+      if (!CheckRadicand(prev->interval, u.a, u.b, u.c, &prev->low)) {
+        return false;
+      }
+    } else {
+      out->push_back(u);
+    }
+    // Advance the side whose interval ends first; the other may still
+    // overlap what follows.
+    if (x.end() < y.end() || (x.end() == y.end() && !x.right_closed())) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<MovingReal> AtMin(const MovingReal& m) { return AtExtremum(m, true); }
 Result<MovingReal> AtMax(const MovingReal& m) { return AtExtremum(m, false); }
+
+namespace lifted_internal {
+
+// Why the decisions below are exact. Let target be MinValue of the
+// distance and tol AtExtremum's tolerance. atmin keeps the candidate
+// instants within tol of target (whole units for a constant unit), and
+// initial() reads the earliest kept instant in the unit that holds it:
+//   - the nominating unit itself, giving a value within tol of target;
+//   - or, for an instant at a unit's open end, the adjacent unit closed
+//     there, where the instant is one of that unit's own candidates and
+//     so its value is >= target.
+// Every answer value is therefore >= target - tol, and it is < d when
+// target + tol < d and every open-end instant reads below d in its
+// holder. A candidate kept inside its own unit makes atmin non-empty.
+// atperiods re-checks the radicand only at candidate instants of the
+// units, which UReal::Make already checked, so it cannot fail. The
+// 4·tol band and the NaN exit leave everything closer to the edge to
+// the composed expression.
+std::optional<bool> EverCloserFastPath(const MovingPoint& p,
+                                       const MovingPoint& q, double d) {
+  // Reused across calls (one allocation per thread, not per pair).
+  thread_local std::vector<SqDistUnit> units;
+  if (!SqDistUnitsInto(p, q, &units) || units.empty()) return false;
+
+  // MinValue over the same candidates. The square root is monotone, so
+  // the smallest value is the root of the smallest radicand, bit for bit
+  // the smallest UReal::ValueAt. A NaN value could hide below MinValue's
+  // running minimum, so it is left to the composition.
+  double lowest = kInfinity;
+  for (const SqDistUnit& u : units) {
+    if (std::isnan(u.low)) return std::nullopt;
+    lowest = std::min(lowest, u.low);
+  }
+  const double target = UReal::Root(lowest);
+  const double tol = kEpsilon * (1 + std::fabs(target));
+  const double band = 4 * tol;
+  if (target - band >= d) return false;
+  if (!(target + band < d)) return std::nullopt;
+
+  // A unit whose smallest radicand exceeds (target + 2·tol)² has every
+  // value more than tol above target: atmin keeps none of its instants.
+  const double beyond = (target + 2 * tol) * (target + 2 * tol);
+  bool kept = false;
+  for (std::size_t k = 0; k < units.size(); ++k) {
+    const SqDistUnit& u = units[k];
+    if (u.low > beyond) continue;
+    const TimeInterval& iv = u.interval;
+    Instant ts[3] = {};
+    const int n = UReal::ExtremumCandidates(iv, u.a, u.b, ts);
+    for (int c = 0; c < n; ++c) {
+      const Instant t = ts[c];
+      if (!(std::fabs(u.ValueAt(t) - target) <= tol)) continue;
+      if (iv.Contains(t)) {
+        kept = true;
+        continue;
+      }
+      // An open end: atperiods evaluates t in the adjacent unit closed
+      // there, if there is one.
+      const SqDistUnit* holder = nullptr;
+      if (t == iv.start() && k > 0 && units[k - 1].interval.Contains(t)) {
+        holder = &units[k - 1];
+      } else if (t == iv.end() && k + 1 < units.size() &&
+                 units[k + 1].interval.Contains(t)) {
+        holder = &units[k + 1];
+      }
+      if (holder != nullptr && !(holder->ValueAt(t) < d - band)) {
+        return std::nullopt;
+      }
+    }
+  }
+  if (!kept) return std::nullopt;
+  return true;
+}
+
+}  // namespace lifted_internal
+
+bool EverCloserThan(const MovingPoint& p, const MovingPoint& q, double d) {
+  if (std::optional<bool> decided =
+          lifted_internal::EverCloserFastPath(p, q, d)) {
+    return *decided;
+  }
+  MODB_COUNTER_INC("temporal.ever_closer.fallbacks");
+  Result<MovingReal> dist = LiftedDistance(p, q);
+  if (!dist.ok() || dist->IsEmpty()) return false;
+  Result<MovingReal> am = AtMin(*dist);
+  return am.ok() && !am->IsEmpty() && am->Initial().val() < d;
+}
 
 Result<MovingBool> Compare(const MovingReal& m, double c, CmpOp op) {
   MappingBuilder<UBool> builder;

@@ -61,6 +61,26 @@ std::optional<double> MaxValue(const MovingReal& m);
 Result<MovingReal> AtMin(const MovingReal& m);
 Result<MovingReal> AtMax(const MovingReal& m);
 
+/// Q2's join predicate (Section 2), val(initial(atmin(distance(p, q))))
+/// < d, decided in one allocation-free pass over the unit pairs. Returns
+/// exactly what the composed expression returns — false when the
+/// distance is undefined, empty, or fails UReal::Make's radicand check —
+/// and evaluates the composition itself only when the fused decision
+/// falls inside its guard band (see EverCloserFastPath).
+bool EverCloserThan(const MovingPoint& p, const MovingPoint& q, double d);
+
+namespace lifted_internal {
+
+/// The fused part of EverCloserThan: the answer when the walk over the
+/// distance units settles it, nullopt when only the composed expression
+/// can (a minimum within 4·kEpsilon·(1+|min|) of d, a minimum instant
+/// excluded by its own unit and not clearly below d in the neighbouring
+/// one, or a NaN distance value). Exposed for the differential tests.
+std::optional<bool> EverCloserFastPath(const MovingPoint& p,
+                                       const MovingPoint& q, double d);
+
+}  // namespace lifted_internal
+
 enum class CmpOp { kLt, kLe, kGt, kGe, kEq, kNe };
 
 /// Lifted comparison of a moving real against a constant, e.g.

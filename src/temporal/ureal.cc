@@ -36,38 +36,26 @@ Result<UReal> UReal::Make(TimeInterval interval, double a, double b, double c,
   if (r) {
     // The radicand must be non-negative on the unit interval: check the
     // endpoints and, if interior, the vertex of the parabola.
-    auto poly = [&](double t) { return a * t * t + b * t + c; };
-    double tol = kEpsilon * (1 + std::fabs(c));
-    if (poly(interval.start()) < -tol || poly(interval.end()) < -tol) {
-      return Status::InvalidArgument(
-          "ureal: radicand negative at unit interval endpoint");
-    }
-    if (a != 0) {
-      double vertex = -b / (2 * a);
-      if (interval.ContainsOpen(vertex) && poly(vertex) < -tol) {
+    Instant candidates[3] = {};
+    const int n = ExtremumCandidates(interval, a, b, candidates);
+    for (int k = 0; k < n; ++k) {
+      if (NegativeRadicand(Poly(a, b, c, candidates[k]), c)) {
         return Status::InvalidArgument(
-            "ureal: radicand negative inside unit interval");
+            k < 2 ? "ureal: radicand negative at unit interval endpoint"
+                  : "ureal: radicand negative inside unit interval");
       }
     }
   }
   return UReal(interval, a, b, c, r);
 }
 
-double UReal::ValueAt(Instant t) const {
-  double v = a_ * t * t + b_ * t + c_;
-  if (!root_) return v;
-  return v <= 0 ? 0 : std::sqrt(v);
-}
-
 URealExtrema UReal::Extrema() const {
-  std::vector<Instant> candidates = {interval_.start(), interval_.end()};
-  if (a_ != 0) {
-    double vertex = -b_ / (2 * a_);
-    if (interval_.ContainsOpen(vertex)) candidates.push_back(vertex);
-  }
+  Instant candidates[3] = {};
+  const int n = ExtremumCandidates(interval_, a_, b_, candidates);
   URealExtrema ex{ValueAt(candidates[0]), candidates[0],
                   ValueAt(candidates[0]), candidates[0]};
-  for (Instant t : candidates) {
+  for (int k = 0; k < n; ++k) {
+    const Instant t = candidates[k];
     double v = ValueAt(t);
     if (v < ex.min_value) {
       ex.min_value = v;

@@ -10,11 +10,13 @@
 #ifndef MODB_TEMPORAL_UREAL_H_
 #define MODB_TEMPORAL_UREAL_H_
 
+#include <cmath>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/interval.h"
+#include "core/real.h"
 #include "core/status.h"
 
 namespace modb {
@@ -52,8 +54,45 @@ class UReal {
   double c() const { return c_; }
   bool root() const { return root_; }
 
+  /// a·t² + b·t + c: the unit polynomial, the radicand when r is set.
+  static double Poly(double a, double b, double c, Instant t) {
+    return a * t * t + b * t + c;
+  }
+
+  /// The square root as ι takes it: 0 for a radicand at or below 0.
+  static double Root(double radicand) {
+    return radicand <= 0 ? 0 : std::sqrt(radicand);
+  }
+
+  /// Make's rule for a root unit: a radicand value below
+  /// -kEpsilon·(1+|c|) is negative.
+  static bool NegativeRadicand(double v, double c) {
+    return v < -kEpsilon * (1 + std::fabs(c));
+  }
+
+  /// The instants an extremum of (a, b, c) on `interval` can sit at: the
+  /// interval start and end, then the parabola vertex when it lies in the
+  /// open interval. Writes them into `out` in that order and returns how
+  /// many (2 or 3).
+  static int ExtremumCandidates(const TimeInterval& interval, double a,
+                                double b, Instant out[3]) {
+    out[0] = interval.start();
+    out[1] = interval.end();
+    if (a != 0) {
+      double vertex = -b / (2 * a);
+      if (interval.ContainsOpen(vertex)) {
+        out[2] = vertex;
+        return 3;
+      }
+    }
+    return 2;
+  }
+
   /// ι((a,b,c,r), t).
-  double ValueAt(Instant t) const;
+  double ValueAt(Instant t) const {
+    double v = Poly(a_, b_, c_, t);
+    return root_ ? Root(v) : v;
+  }
 
   /// Min/max of the unit function over the unit interval.
   URealExtrema Extrema() const;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -144,6 +145,41 @@ TEST(DbRun, TypedErrorsNameTheOffender) {
   req.attr = "flight";
   req.join_attr = "flight";
   EXPECT_EQ(db.Run(req).status().code(), StatusCode::kNotFound);
+}
+
+TEST(DbRun, NonFiniteJoinDistanceIsInvalidArgument) {
+  Db db;
+  ASSERT_TRUE(db.Register(Planes()).ok());
+  ASSERT_TRUE(db.BuildIndex("planes", "flight").ok());
+
+  QueryRequest req;
+  req.relation = "planes";
+  req.join_relation = "planes";
+  req.attr = "flight";
+  req.join_attr = "flight";
+  req.distinct_pairs = true;
+  for (QueryRequest::Kind kind :
+       {QueryRequest::Kind::kJoin, QueryRequest::Kind::kIndexJoin}) {
+    req.kind = kind;
+    for (double d : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+      req.distance = d;
+      req.relation = "planes";
+      Result<QueryResult> r = db.Run(req);
+      ASSERT_FALSE(r.ok()) << "kind " << int(kind) << " d " << d;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(r.status().message().find("distance"), std::string::npos);
+
+      // Refused before any relation lookup: an unknown relation does
+      // not turn it into kNotFound.
+      req.relation = "ships";
+      EXPECT_EQ(db.Run(req).status().code(), StatusCode::kInvalidArgument);
+    }
+    req.relation = "planes";
+    req.distance = 500.0;
+    EXPECT_TRUE(db.Run(req).ok()) << "kind " << int(kind);
+  }
 }
 
 TEST(DbRun, InvalidThreadCountFailsTheSharedValidation) {
