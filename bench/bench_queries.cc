@@ -1,7 +1,7 @@
 // Experiments Q1/Q2 (Section 2): the two example queries on the planes
 // relation, plus the D4 ablation (unit bounding cubes + R-tree for the
-// spatio-temporal join), and per-period window aggregates over the
-// fleet as a function of the window count.
+// spatio-temporal join), per-period window aggregates over the fleet as
+// a function of the window count, and the two batch query kinds.
 
 #include <benchmark/benchmark.h>
 
@@ -184,6 +184,37 @@ void BM_WindowAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowAggregate)->Arg(64)->Arg(1024)->Arg(16384)
     ->Unit(benchmark::kMillisecond);
+
+// The batch kinds through Db::Run: every flight evaluated at 49
+// half-hourly instants — the analytic_scan atinstant grid (1024
+// flights) and the point_lookup present request (64 flights).
+void BM_BatchKinds_Db(benchmark::State& state, QueryRequest::Kind kind,
+                      int flights) {
+  Db db;
+  if (!db.Register(Planes(flights)).ok()) {
+    state.SkipWithError("registering the planes relation failed");
+    return;
+  }
+  QueryRequest q;
+  q.kind = kind;
+  q.relation = "planes";
+  q.attr = "flight";
+  for (int i = 0; i <= 48; ++i) q.instants.push_back(0.25 + 0.5 * i);
+  for (auto _ : state) {
+    Result<QueryResult> r = db.Run(q);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK_CAPTURE(BM_BatchKinds_Db, atinstant,
+                  QueryRequest::Kind::kAtInstantBatch, 1024)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BatchKinds_Db, present, QueryRequest::Kind::kPresentBatch,
+                  64)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace modb

@@ -1,7 +1,6 @@
 #include "db/modb.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -11,7 +10,6 @@
 #include "exec/pipeline.h"
 #include "exec/planner.h"
 #include "obs/metrics.h"
-#include "temporal/batch_ops.h"
 #include "temporal/lifted_ops.h"
 #include "temporal/moving.h"
 
@@ -105,6 +103,11 @@ Result<exec::Predicate> LowerFilter(const Relation& rel,
 // Hard ceiling on emitted windows: one row each, so this bounds both
 // the response size and the sweep's per-window totals.
 constexpr std::uint64_t kMaxWindows = std::uint64_t(1) << 20;
+
+// Hard ceiling on a batch request's tuples × instants cells. An xy cell
+// is 17 bytes (x, y, defined), so the largest reply is ~34 MiB and
+// fits one wire frame.
+constexpr std::uint64_t kMaxBatchCells = std::uint64_t(1) << 21;
 
 // MutationResult <-> the live relation's stored ack type (identical
 // fields; live_relation.h cannot see MutationResult without a cycle).
@@ -409,15 +412,6 @@ Result<QueryResult> Db::Run(const QueryRequest& req,
     return Status::InvalidArgument("join distance must be finite, got " +
                                    std::to_string(req.distance));
   }
-  // Expired-on-arrival fails before touching any relation (the morsel
-  // engine and the serial present-batch loop below re-check
-  // cooperatively).
-  if (options.deadline &&
-      std::chrono::steady_clock::now() >= *options.deadline) {
-    MODB_COUNTER_INC("exec.deadline_exceeded");
-    return Status::DeadlineExceeded(
-        "query execution deadline expired before execution started");
-  }
   std::shared_lock lock(mu_);
 
   auto src_it = relations_.find(req.relation);
@@ -514,69 +508,43 @@ Result<QueryResult> Db::Run(const QueryRequest& req,
       break;
     }
 
-    case QueryRequest::Kind::kAtInstantBatch: {
-      Result<int> slot =
-          ResolveSlot(src_rel, req.attr, AttributeType::kMovingPoint);
-      MODB_RETURN_IF_ERROR(slot.status());
-      std::vector<const MovingPoint*> maps;
-      maps.reserve(src_rel.NumTuples());
-      for (const Tuple& t : src_rel.tuples()) {
-        maps.push_back(&std::get<MovingPoint>(t[*slot]));
-      }
-      std::vector<BatchXYOutput> outs;
-      MODB_RETURN_IF_ERROR(
-          AtInstantBatchManyXY(maps, req.instants, &outs, run));
-      result.payload = QueryResult::Payload::kXY;
-      result.batch_tuples = maps.size();
-      result.batch_instants = req.instants.size();
-      const std::size_t cells = maps.size() * req.instants.size();
-      result.xs.reserve(cells);
-      result.ys.reserve(cells);
-      result.defined.reserve(cells);
-      for (const BatchXYOutput& out : outs) {
-        result.xs.insert(result.xs.end(), out.xs.begin(), out.xs.end());
-        result.ys.insert(result.ys.end(), out.ys.begin(), out.ys.end());
-        result.defined.insert(result.defined.end(), out.defined.begin(),
-                              out.defined.end());
-      }
-      break;
-    }
-
+    case QueryRequest::Kind::kAtInstantBatch:
     case QueryRequest::Kind::kPresentBatch: {
       Result<int> slot =
           ResolveSlot(src_rel, req.attr, AttributeType::kMovingPoint);
       MODB_RETURN_IF_ERROR(slot.status());
-      const auto start = std::chrono::steady_clock::now();
-      result.payload = QueryResult::Payload::kPresent;
-      result.batch_tuples = src_rel.NumTuples();
-      result.batch_instants = req.instants.size();
-      result.present.reserve(result.batch_tuples * result.batch_instants);
-      std::vector<std::uint8_t> buf;
-      for (const Tuple& t : src_rel.tuples()) {
-        // Per-tuple kernels run serial inline; the whole loop already
-        // holds the reader lock, and stats are aggregated manually so
-        // the root node covers the full batch. The per-tuple deadline
-        // check is this loop's morsel boundary.
-        if (run.deadline) {
-          MODB_COUNTER_INC("exec.deadline_checks");
-          if (std::chrono::steady_clock::now() >= *run.deadline) {
-            MODB_COUNTER_INC("exec.deadline_exceeded");
-            return Status::DeadlineExceeded(
-                "query execution deadline expired during present batch");
-          }
-        }
-        MODB_RETURN_IF_ERROR(PresentBatchInto(std::get<MovingPoint>(t[*slot]),
-                                              req.instants, &buf));
-        result.present.insert(result.present.end(), buf.begin(), buf.end());
+      const std::uint64_t tuples = src_rel.NumTuples();
+      const std::uint64_t instants = req.instants.size();
+      // tuples * instants <= kMaxBatchCells, checked without forming the
+      // product, before anything is allocated.
+      if (instants != 0 && tuples > kMaxBatchCells / instants) {
+        return Status::InvalidArgument(
+            "batch of " + std::to_string(tuples) + " tuples x " +
+            std::to_string(instants) + " instants exceeds " +
+            std::to_string(kMaxBatchCells) + " cells");
       }
-      result.stats.op = "present_batch_many";
-      result.stats.tuples_in = result.batch_tuples * result.batch_instants;
-      result.stats.workers = 1;
-      for (std::uint8_t b : result.present) result.stats.tuples_out += b;
-      result.stats.wall_ns = std::uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
+      const bool xy = req.kind == QueryRequest::Kind::kAtInstantBatch;
+      exec::LogicalQuery q;
+      q.rel = &src_rel;
+      q.batch = exec::BatchProbeOp{xy ? exec::BatchProbeOp::Kind::kAtInstantXY
+                                      : exec::BatchProbeOp::Kind::kPresent,
+                                   *slot, req.instants};
+      q.root_op = xy ? "atinstant_batch_many_xy" : "present_batch_many";
+      Result<exec::PhysicalPlan> plan = exec::PlanQuery(q);
+      MODB_RETURN_IF_ERROR(plan.status());
+      exec::BatchOutput cells;
+      MODB_RETURN_IF_ERROR(exec::RunPlan(*plan, run, &cells).status());
+      result.batch_tuples = tuples;
+      result.batch_instants = instants;
+      if (xy) {
+        result.payload = QueryResult::Payload::kXY;
+        result.xs = std::move(cells.xs);
+        result.ys = std::move(cells.ys);
+        result.defined = std::move(cells.flags);
+      } else {
+        result.payload = QueryResult::Payload::kPresent;
+        result.present = std::move(cells.flags);
+      }
       break;
     }
 

@@ -76,9 +76,11 @@ struct QueryRequest {
     /// available, else built inside the plan).
     kIndexJoin = 3,
     /// atinstant of every tuple's `attr` at each of `instants`
-    /// (ascending) — xs/ys/defined, row-major [tuple][instant].
+    /// (ascending) — xs/ys/defined, row-major [tuple][instant]. Tuples
+    /// × instants above 2^21 cells is InvalidArgument.
     kAtInstantBatch = 4,
-    /// present of every tuple's `attr` at each of `instants`.
+    /// present of every tuple's `attr` at each of `instants` (same
+    /// layout and cap).
     kPresentBatch = 5,
     /// Continuous-window aggregation over `attr`: tumbling (step ==
     /// width) or sliding (step < width) windows [s, s + width) with

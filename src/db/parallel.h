@@ -1,9 +1,8 @@
-// A small fixed thread pool and a deterministic parallel-for, backing
-// the parallel query operators (query.h). Workers are started once and
-// reused; ParallelFor statically partitions an index range into
-// contiguous chunks so callers can keep per-chunk result buffers and
-// merge them in chunk order — making parallel operator output identical
-// to the serial operator's.
+// A small fixed thread pool and the per-call execution policy shared by
+// every query entrypoint. Workers are started once and reused; the
+// morsel pipeline (src/exec/) is the one consumer that fans work out
+// across them, merging results in a fixed order so that parallel output
+// is identical to the serial output.
 
 #ifndef MODB_DB_PARALLEL_H_
 #define MODB_DB_PARALLEL_H_
@@ -98,11 +97,11 @@ struct ExecOptions {
   /// (cardinalities, predicate/index counters, wall time, one child per
   /// worker chunk). Null skips even the clock reads.
   obs::ExecStats* stats = nullptr;
-  /// Cooperative execution deadline. Checked at morsel boundaries by
-  /// the pipelined engine (and per tuple in Db::Run's serial present
-  /// batch loop) — never mid-operator, so a check costs one
-  /// clock read and expiry yields a typed kDeadlineExceeded with all
-  /// partial work discarded. nullopt = no deadline.
+  /// Cooperative execution deadline. Checked by the pipelined engine
+  /// once before a plan starts and then at every morsel boundary —
+  /// never mid-operator, so a check costs one clock read and expiry
+  /// yields a typed kDeadlineExceeded with all partial work discarded.
+  /// nullopt = no deadline.
   std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 
@@ -113,15 +112,6 @@ std::size_t ResolveWorkerCount(const ParallelOptions& options);
 
 /// The pool `options` resolves to (ThreadPool::Shared() when unset).
 ThreadPool& ResolvePool(const ParallelOptions& options);
-
-/// Splits [0, n) into `chunks` contiguous ranges and runs
-/// fn(chunk_index, begin, end) for each on the pool, blocking until all
-/// complete. Chunk boundaries depend only on (n, chunks), so per-chunk
-/// outputs can be merged deterministically. fn must be thread-safe.
-/// chunks <= 1 (or n == 0) runs inline on the calling thread.
-void ParallelFor(
-    ThreadPool& pool, std::size_t n, std::size_t chunks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
 }  // namespace modb
 

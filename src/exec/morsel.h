@@ -10,13 +10,13 @@
 // what order they finished.
 //
 // Work stealing: morsel sequence numbers are statically sharded into
-// one contiguous range per worker (the same boundary rule as
-// ParallelFor). A worker drains its own shard front-to-back through an
-// atomic cursor, and when its shard is empty it steals from the
-// victim with the most remaining morsels — so a worker that hits
-// expensive morsels (skewed predicates, cold spilled pages) sheds its
-// tail to idle peers instead of serializing the whole pipeline behind
-// it. Claims are one fetch_add per morsel either way.
+// one contiguous range per worker (of M morsels over W workers, worker
+// w owns [w*M/W, (w+1)*M/W)). A worker drains its own shard
+// front-to-back through an atomic cursor, and when its shard is empty
+// it steals from the victim with the most remaining morsels — so a
+// worker that hits expensive morsels (skewed predicates, cold spilled
+// pages) sheds its tail to idle peers instead of serializing the whole
+// pipeline behind it. Claims are one fetch_add per morsel either way.
 
 #ifndef MODB_EXEC_MORSEL_H_
 #define MODB_EXEC_MORSEL_H_

@@ -10,6 +10,7 @@
 
 #include "db/parallel.h"
 #include "obs/metrics.h"
+#include "temporal/batch_ops.h"
 
 namespace modb {
 namespace exec {
@@ -126,6 +127,7 @@ struct WorkerState {
   ProbeScratch probe;
   std::vector<WindowSlot> slots;       // one row's windows, from its base
   std::vector<WindowRecord> records;   // this morsel's window records
+  BatchScratch batch;                  // the batch probe's resolve pass
   std::vector<StageCounters> stages;
   std::uint64_t morsels = 0;
   std::uint64_t morsels_stolen = 0;
@@ -178,7 +180,8 @@ class FirstError {
 };
 
 // Stage ids within a pipeline's counter arrays: 0 = scan, 1..F =
-// filters, F+1 = terminal (project / join probe / implicit copy sink).
+// filters, F+1 = terminal (project / join probe / window sweep / batch
+// probe / implicit copy sink).
 std::size_t NumStages(const Pipeline& pipe) {
   return pipe.filters.size() + 2;
 }
@@ -319,6 +322,26 @@ void SweepWindowRow(const MovingPoint& mp, const WindowSweepOp& op,
   }
 }
 
+// Evaluates one source row's moving point at the batch instants into
+// the row's own cells [row*k, (row+1)*k) and counts its set flags.
+Status ProbeBatchRow(const MovingPoint& mp, std::size_t row,
+                     const BatchProbeOp& op, BatchOutput* cells,
+                     BatchScratch* scratch, StageCounters* s) {
+  const std::size_t k = op.instants.size();
+  const std::size_t off = row * k;
+  std::uint8_t* flags = cells->flags.data() + off;
+  if (op.kind == BatchProbeOp::Kind::kAtInstantXY) {
+    MODB_RETURN_IF_ERROR(batch_internal::AtInstantBatchXYCore(
+        mp, op.instants, cells->xs.data() + off, cells->ys.data() + off,
+        flags, scratch));
+  } else {
+    MODB_RETURN_IF_ERROR(
+        batch_internal::PresentBatchCore(mp, op.instants, flags));
+  }
+  for (std::size_t q = 0; q < k; ++q) s->rows_out += flags[q];
+  return Status::OK();
+}
+
 // Per-window totals, folded from the morsels' record buffers strictly
 // in morsel order — ascending source-row order — so each sum adds the
 // same operands in the same order as a serial row-by-row pass. A morsel
@@ -387,11 +410,13 @@ class WindowFold {
 };
 
 // One morsel through the fused stage chain. Returns non-OK only for
-// source faults (spilled page errors); predicate work never fails. A
-// window sweep leaves its records in w->records and takes no `out`.
+// source faults (spilled page errors) and unsorted batch instants;
+// predicate work never fails. A window sweep leaves its records in
+// w->records and a batch probe writes its rows' cells in place; neither
+// takes an `out`.
 Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
                      const Morsel& m, WorkerState* w,
-                     std::vector<Tuple>* out) {
+                     std::vector<Tuple>* out, BatchOutput* cells) {
   w->rows.clear();
   w->mat.clear();
   const bool from_spill = pipe.spilled != nullptr;
@@ -454,9 +479,18 @@ Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
   }
 
   // Terminal: emit this morsel's output tuples (window records for a
-  // sweep).
+  // sweep, cells for a batch probe).
   StageCounters& term = w->stages[NumStages(pipe) - 1];
   term.rows_in += w->rows.size();
+  if (pipe.batch) {
+    const std::size_t attr = std::size_t(pipe.batch->attr);
+    for (std::size_t k = 0; k < w->rows.size(); ++k) {
+      MODB_RETURN_IF_ERROR(
+          ProbeBatchRow(std::get<MovingPoint>(tuple_at(k)[attr]), w->rows[k],
+                        *pipe.batch, cells, &w->batch, &term));
+    }
+    return Status::OK();
+  }
   if (pipe.window) {
     w->records.clear();
     const std::size_t attr = std::size_t(pipe.window->attr);
@@ -497,15 +531,17 @@ const char* TerminalOpName(const Pipeline& pipe) {
   if (pipe.join) return "join_probe";
   if (pipe.project) return "project";
   if (pipe.window) return "window_sweep";
+  if (pipe.batch) return "batch";
   return "sink";
 }
 
 // Runs one pipeline step morsel-parallel and appends its output to
-// `out` in morsel order. `node` (when kept) receives one child per
-// stage plus the root-level morsel/steal counters.
+// `out` in morsel order (a batch probe fills `cells` instead). `node`
+// (when kept) receives one child per stage plus the root-level
+// morsel/steal counters.
 Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
                    const ExecOptions& options, Relation* out,
-                   ExecStats* node) {
+                   BatchOutput* cells, ExecStats* node) {
   const std::size_t n = pipe.NumSourceRows();
   const std::size_t workers = ResolveWorkerCount(options.parallel);
   std::size_t morsel_rows = PickMorselRows(n, workers, pipe.morsel_rows);
@@ -517,7 +553,17 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
   MorselScheduler sched(n, morsel_rows, workers);
   const std::size_t num_morsels = sched.num_morsels();
 
-  std::vector<std::vector<Tuple>> outputs(pipe.window ? 0 : num_morsels);
+  // Fixed-slot sink: every cell exists before any morsel runs, so each
+  // worker writes its rows' cells in place, disjoint from every other.
+  if (pipe.batch) {
+    const std::size_t num_cells = n * pipe.batch->instants.size();
+    const bool xy = pipe.batch->kind == BatchProbeOp::Kind::kAtInstantXY;
+    cells->xs.assign(xy ? num_cells : 0, 0.0);
+    cells->ys.assign(xy ? num_cells : 0, 0.0);
+    cells->flags.assign(num_cells, 0);
+  }
+  std::vector<std::vector<Tuple>> outputs(
+      pipe.window || pipe.batch ? 0 : num_morsels);
   std::optional<WindowFold> fold;
   if (pipe.window) fold.emplace(num_morsels, pipe.window->num_windows);
   std::vector<WorkerState> states(workers);
@@ -552,7 +598,8 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
       ++state.morsels;
       if (stolen) ++state.morsels_stolen;
       Status s = ProcessMorsel(pipe, view, m, &state,
-                               fold ? nullptr : &outputs[m.seq]);
+                               outputs.empty() ? nullptr : &outputs[m.seq],
+                               cells);
       if (!s.ok()) {
         error.Record(m.seq, std::move(s));
       } else if (fold) {
@@ -580,7 +627,10 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
     done.wait(lock, [&] { return remaining == 0; });
   }
 
-  if (error.Failed()) return error.Take();
+  if (error.Failed()) {
+    if (cells != nullptr) *cells = BatchOutput{};
+    return error.Take();
+  }
 
   // Deterministic sink: concatenate per-morsel outputs in ascending
   // sequence order — ascending source-row order, the serial order (the
@@ -633,6 +683,8 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
       stage_node("select", totals[1 + f]);
     }
     stage_node(TerminalOpName(pipe), totals[NumStages(pipe) - 1]);
+    // A batch probe emits cells, not tuples: the root counts set flags.
+    if (pipe.batch) node->tuples_out = totals[NumStages(pipe) - 1].rows_out;
   }
   // Roll the pipeline's counters into the parent node so wrapper-level
   // semantics (predicate_evals, index candidates/hits, units scanned,
@@ -676,7 +728,8 @@ std::uint64_t CountWindows(Instant t0, Instant t1, Instant step,
   return lo;
 }
 
-Result<Relation> RunPlan(const PhysicalPlan& plan, const ExecOptions& options) {
+Result<Relation> RunPlan(const PhysicalPlan& plan, const ExecOptions& options,
+                         BatchOutput* batch) {
   MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
   // An already-expired deadline fails up front — before any build step
   // or scan — so a request admitted after its budget ran out never pays
@@ -696,7 +749,12 @@ Result<Relation> RunPlan(const PhysicalPlan& plan, const ExecOptions& options) {
       return Status::InvalidArgument(
           "plan step must be exactly one of build or pipeline");
     }
-    if (step.pipe) ++pipe_steps;
+    if (!step.pipe) continue;
+    ++pipe_steps;
+    if (step.pipe->batch.has_value() != (batch != nullptr)) {
+      return Status::InvalidArgument(
+          "a BatchOutput is required by, and only by, a batch-probe plan");
+    }
   }
   if (pipe_steps != 1) {
     return Status::InvalidArgument(
@@ -775,13 +833,14 @@ Result<Relation> RunPlan(const PhysicalPlan& plan, const ExecOptions& options) {
               "no completed build step");
         }
       }
-      MODB_RETURN_IF_ERROR(RunPipeline(pipe, view, options, &out, &node));
+      MODB_RETURN_IF_ERROR(
+          RunPipeline(pipe, view, options, &out, batch, &node));
     }
     executed[ready] = true;
     ++done;
   }
 
-  node.tuples_out = out.NumTuples();
+  if (batch == nullptr) node.tuples_out = out.NumTuples();
   node.wall_ns = timer.ElapsedNs();
   if (options.stats != nullptr) *options.stats = std::move(node);
   MODB_COUNTER_INC("exec.plans_run");

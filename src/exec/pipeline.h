@@ -3,7 +3,8 @@
 // order. A pipeline streams fixed-size morsels (row ranges over its
 // source) through a fused stage chain
 //
-//   Scan → Select* → (Project | Join probe | Window sweep | none) → Sink
+//   Scan → Select* → (Project | Join probe | Window sweep | Batch probe
+//                     | none) → Sink
 //
 // with work-stealing across a shared ThreadPool: each worker claims a
 // morsel, runs it through every stage on its own stack (no Relation is
@@ -22,7 +23,11 @@
 //      order, which equals ascending source-row order — exactly the
 //      order a serial loop produces. The window sweep's sink folds
 //      per-morsel records into per-window totals in that same order,
-//      so every floating-point sum sees its operands in row order.
+//      so every floating-point sum sees its operands in row order. A
+//      batch probe has no concatenation at all: its sink is an array
+//      sized before the morsels run, and source row i writes only its
+//      own fixed slots [i*k, (i+1)*k), so the layout is the serial one
+//      whichever worker wrote which row.
 //
 // Plans are built by the rule-based planner (exec/planner.h); the
 // db/query.h operators are thin wrappers that plan and run here.
@@ -134,6 +139,31 @@ struct WindowSweepOp {
   Instant Start(std::uint64_t i) const { return t0 + double(i) * step; }
 };
 
+/// Terminal batch-probe stage: evaluates every source row's
+/// moving-point attribute `attr` at the shared ascending `instants` —
+/// the paper's atinstant (kAtInstantXY: position and defined flag) or
+/// present (kPresent: defined flag only) over a whole relation. Takes
+/// no filters, so source row i owns cells [i*k, (i+1)*k) of the
+/// BatchOutput (k = instants.size()). Unsorted instants fail the plan
+/// with InvalidArgument.
+struct BatchProbeOp {
+  enum class Kind { kAtInstantXY, kPresent };
+  Kind kind = Kind::kAtInstantXY;
+  int attr = -1;
+  std::vector<Instant> instants;
+};
+
+/// The caller-owned sink of a batch-probe plan, row-major
+/// [source row][instant]. RunPlan sizes it to rows × instants before
+/// any morsel runs: `flags` holds the defined (kAtInstantXY) or present
+/// (kPresent) bytes, `xs`/`ys` the positions (0 where undefined; left
+/// empty for kPresent). Cleared when the plan fails.
+struct BatchOutput {
+  std::vector<double> xs;
+  std::vector<double> ys;
+  std::vector<std::uint8_t> flags;
+};
+
 /// The number of windows the grid [t0, t1) cut at `step` emits: the
 /// count of i >= 0 with t0 + i*step < t1, found by binary search on
 /// that exact predicate (never from a rounded (t1 - t0) / step).
@@ -154,6 +184,7 @@ struct Pipeline {
   std::optional<ProjectOp> project;
   std::optional<JoinProbeOp> join;
   std::optional<WindowSweepOp> window;
+  std::optional<BatchProbeOp> batch;
   /// Rows per morsel; 0 = PickMorselRows default (capped for a window
   /// sweep so one morsel buffers a bounded number of records).
   std::size_t morsel_rows = 0;
@@ -182,7 +213,7 @@ struct PlanStep {
 /// step producing the output relation (out_name / out_schema).
 /// legacy_tuples_in carries the operator-semantics cardinality for the
 /// root ExecStats node (outer + inner for joins, as the materializing
-/// operators reported).
+/// operators reported; rows × instants for a batch probe).
 struct PhysicalPlan {
   std::vector<PlanStep> steps;
   std::string out_name;
@@ -196,14 +227,20 @@ struct PhysicalPlan {
 /// per `options.parallel` with per-worker ExecStats accumulation.
 /// When `options.stats` is set, the node gets one child per stage
 /// ("build_index", "scan", "select", "project", "join_probe",
-/// "window_sweep") with rows in/out, morsels scheduled/stolen, units
-/// scanned, and pushdown skips (a window sweep's rows out are its
-/// qualifying (row, window) pairs; the root's tuples out are the
-/// emitted windows); the
-/// root's `materializations` counts Relations the plan materialized —
-/// always exactly 1 (the sink), which is what "zero intermediate
-/// materializations" means operationally.
-Result<Relation> RunPlan(const PhysicalPlan& plan, const ExecOptions& options);
+/// "window_sweep", "batch") with rows in/out, morsels scheduled/stolen,
+/// units scanned, and pushdown skips (a window sweep's rows out are its
+/// qualifying (row, window) pairs and the root's tuples out the emitted
+/// windows; a batch probe's rows out, and the root's tuples out, are
+/// its set flags); the root's `materializations` counts outputs the
+/// plan materialized — always exactly 1 (the sink), which is what
+/// "zero intermediate materializations" means operationally.
+///
+/// A plan whose pipeline ends in a batch probe writes its cells into
+/// `*batch` and returns an empty relation; `batch` must be set for such
+/// plans and null for all others. The caller bounds rows × instants
+/// before running it.
+Result<Relation> RunPlan(const PhysicalPlan& plan, const ExecOptions& options,
+                         BatchOutput* batch = nullptr);
 
 }  // namespace exec
 }  // namespace modb

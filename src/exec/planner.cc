@@ -66,20 +66,34 @@ Status ValidateQuery(const LogicalQuery& q) {
         "logical query needs exactly one source (rel or spilled)");
   }
   if (int(q.project.has_value()) + int(q.join.has_value()) +
-          int(q.window.has_value()) >
+          int(q.window.has_value()) + int(q.batch.has_value()) >
       1) {
     return Status::InvalidArgument(
-        "a pipeline has at most one terminal: projection, join, or window "
-        "sweep");
+        "a pipeline has at most one terminal: projection, join, window "
+        "sweep, or batch probe");
   }
   const Schema& schema = SourceSchema(q);
+  auto is_moving_point = [&schema](int attr) {
+    return attr >= 0 && std::size_t(attr) < schema.NumAttributes() &&
+           schema.attribute(std::size_t(attr)).type ==
+               AttributeType::kMovingPoint;
+  };
+  if (q.batch) {
+    if (!is_moving_point(q.batch->attr)) {
+      return Status::InvalidArgument("batch probe attribute " +
+                                     std::to_string(q.batch->attr) +
+                                     " is not a moving point of the source");
+    }
+    // Every source row must reach the sink: row i owns cells
+    // [i*k, (i+1)*k) only because no filter drops rows before it.
+    if (!q.filters.empty()) {
+      return Status::InvalidArgument("a batch probe takes no filters");
+    }
+  }
   if (q.window) {
-    const int attr = q.window->attr;
-    if (attr < 0 || std::size_t(attr) >= schema.NumAttributes() ||
-        schema.attribute(std::size_t(attr)).type !=
-            AttributeType::kMovingPoint) {
+    if (!is_moving_point(q.window->attr)) {
       return Status::InvalidArgument("window sweep attribute " +
-                                     std::to_string(attr) +
+                                     std::to_string(q.window->attr) +
                                      " is not a moving point of the source");
     }
     if (!(q.window->step > 0) || !(q.window->width > 0)) {
@@ -176,6 +190,7 @@ std::optional<TimeWindow> PushdownWindow(const LogicalQuery& q) {
 std::string DeriveOutName(const LogicalQuery& q, bool use_index_join) {
   std::string name = q.rel != nullptr ? q.rel->name() : q.spilled->name();
   if (q.window) return name + "_win";
+  if (q.batch) return name + "_batch";
   if (!q.filters.empty()) name += "_sel";
   if (q.join) {
     name += use_index_join ? "_ix_" : "_x_";
@@ -223,6 +238,11 @@ std::string PlanCacheKey(const LogicalQuery& q) {
     key += " m~" + std::to_string(SizeBucket(j.inner->NumTuples()));
   }
   if (q.window) key += "|window " + std::to_string(q.window->attr);
+  if (q.batch) {
+    key += q.batch->kind == BatchProbeOp::Kind::kAtInstantXY ? "|atinstant "
+                                                             : "|present ";
+    key += std::to_string(q.batch->attr);
+  }
   return key;
 }
 
@@ -338,6 +358,9 @@ Result<PhysicalPlan> PlanQuery(const LogicalQuery& q) {
     for (int idx : *q.project) defs.push_back(schema.attribute(std::size_t(idx)));
     plan.out_schema = Schema(std::move(defs));
     pipe.project = ProjectOp{*q.project};
+  } else if (q.batch) {
+    plan.legacy_tuples_in = source_rows * q.batch->instants.size();
+    pipe.batch = q.batch;
   } else if (q.window) {
     plan.out_schema = Schema({{"w_start", AttributeType::kReal},
                               {"w_end", AttributeType::kReal},

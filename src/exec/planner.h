@@ -39,10 +39,10 @@ namespace modb {
 namespace exec {
 
 /// Declarative query description. Exactly one of rel/spilled is the
-/// source; filters apply in order; at most one of project/join/window
-/// is the terminal. The planner copies predicates into the plan but only
-/// points at relations/indexes — sources must outlive the returned
-/// PhysicalPlan's execution.
+/// source; filters apply in order; at most one of project/join/window/
+/// batch is the terminal. The planner copies predicates into the plan
+/// but only points at relations/indexes — sources must outlive the
+/// returned PhysicalPlan's execution.
 struct LogicalQuery {
   const Relation* rel = nullptr;
   SpilledRelation* spilled = nullptr;
@@ -79,10 +79,16 @@ struct LogicalQuery {
   /// the output is one row per window (exec/pipeline.h WindowSweepOp).
   std::optional<WindowSweepOp> window;
 
+  /// Batch probe of a moving-point attribute of the source at shared
+  /// instants; the output is cells, not rows (exec/pipeline.h
+  /// BatchProbeOp), and the query takes no filters.
+  std::optional<BatchProbeOp> batch;
+
   /// Output relation name; "" derives the legacy operator-chain name
   /// (source + "_sel" / "_proj" / "_x_" / "_ix_" suffixes, or source +
-  /// "_win" for a window sweep whatever its filters), which is what
-  /// keeps pipelined output byte-identical to composed operators.
+  /// "_win" for a window sweep whatever its filters, or source +
+  /// "_batch" for a batch probe), which is what keeps pipelined output
+  /// byte-identical to composed operators.
   std::string out_name;
   /// Root ExecStats op label ("select", "pipeline", ...).
   std::string root_op = "pipeline";
@@ -91,8 +97,8 @@ struct LogicalQuery {
 };
 
 /// Plans `q`. Fails with InvalidArgument on malformed queries (no
-/// source, both terminals, attribute slots out of range or of the wrong
-/// type for the chosen join algorithm).
+/// source, two terminals, filters on a batch probe, attribute slots out
+/// of range or of the wrong type for the chosen terminal).
 Result<PhysicalPlan> PlanQuery(const LogicalQuery& q);
 
 /// The cache key PlanQuery memoizes under — exposed so tests can assert

@@ -310,32 +310,30 @@ void CloseFd(int fd) {
 
 namespace {
 
-Status SealFrame(FrameType type, std::string_view payload,
-                 std::uint8_t version, std::string* msg) {
+Status SealFrame(FrameType type, std::string_view payload, std::string* msg) {
   if (payload.size() > kMaxFramePayload) {
     return Status::InvalidArgument(
         "frame payload of " + std::to_string(payload.size()) +
         " bytes exceeds the " + std::to_string(kMaxFramePayload) +
         "-byte cap");
   }
-  *msg = EncodeFrameHeader(type, std::uint32_t(payload.size()), version);
+  *msg = EncodeFrameHeader(type, std::uint32_t(payload.size()));
   msg->append(payload.data(), payload.size());
   return Status::OK();
 }
 
 }  // namespace
 
-Status WriteFrame(int fd, FrameType type, std::string_view payload,
-                  std::uint8_t version) {
+Status WriteFrame(int fd, FrameType type, std::string_view payload) {
   std::string msg;
-  MODB_RETURN_IF_ERROR(SealFrame(type, payload, version, &msg));
+  MODB_RETURN_IF_ERROR(SealFrame(type, payload, &msg));
   return WriteFull(fd, msg.data(), msg.size());
 }
 
 Status WriteFrameTimeout(int fd, FrameType type, std::string_view payload,
-                         int timeout_ms, std::uint8_t version) {
+                         int timeout_ms) {
   std::string msg;
-  MODB_RETURN_IF_ERROR(SealFrame(type, payload, version, &msg));
+  MODB_RETURN_IF_ERROR(SealFrame(type, payload, &msg));
   return WriteFullTimeout(fd, msg.data(), msg.size(), timeout_ms);
 }
 
@@ -354,7 +352,6 @@ Result<std::optional<Frame>> ReadFrameTimeout(int fd, int timeout_ms) {
   MODB_RETURN_IF_ERROR(h.status());
   Frame frame;
   frame.type = h->type;
-  frame.version = h->version;
   frame.payload.resize(h->payload_len);
   if (h->payload_len > 0) {
     MODB_RETURN_IF_ERROR(ReadFullTimeout(fd, frame.payload.data(),

@@ -64,20 +64,14 @@ void ShutdownReadFd(int fd);
 void CloseFd(int fd);
 
 /// Writes one frame (header + payload). The payload must fit the frame
-/// cap. `version` stamps the header — servers answer a request in the
-/// version it arrived with.
-Status WriteFrame(int fd, FrameType type, std::string_view payload,
-                  std::uint8_t version = kWireVersion);
+/// cap.
+Status WriteFrame(int fd, FrameType type, std::string_view payload);
 /// Deadline-bounded WriteFrame (semantics as WriteFullTimeout).
 Status WriteFrameTimeout(int fd, FrameType type, std::string_view payload,
-                         int timeout_ms,
-                         std::uint8_t version = kWireVersion);
+                         int timeout_ms);
 
 struct Frame {
   FrameType type = FrameType::kQuery;
-  /// The header's protocol version ({kMinWireVersion..kWireVersion});
-  /// payload decoders need it to pick the right field set.
-  std::uint8_t version = kWireVersion;
   std::string payload;
 };
 

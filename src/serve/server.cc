@@ -279,9 +279,9 @@ void Server::ServeConnection(int fd) {
       }
       std::string reply;
       if (h->type == FrameType::kQuery) {
-        reply = HandleQuery(payload, h->version);
+        reply = HandleQuery(payload);
       } else if (h->type == FrameType::kMutation) {
-        reply = HandleMutation(payload, h->version);
+        reply = HandleMutation(payload);
       } else {
         Result<std::string> r = EncodeReply(
             Status::InvalidArgument("expected a query or mutation frame"),
@@ -290,10 +290,7 @@ void Server::ServeConnection(int fd) {
         MODB_COUNTER_INC("serve.errors");
       }
       if (reply.empty()) break;
-      // Answer in the version the request arrived with, so a v2 client
-      // never sees a v3 frame header.
-      Status s =
-          WriteFrameTimeout(fd, FrameType::kReply, reply, io_ms, h->version);
+      Status s = WriteFrameTimeout(fd, FrameType::kReply, reply, io_ms);
       if (!s.ok()) {
         (void)timed_out(s, /*idle_phase=*/false);
         break;
@@ -338,8 +335,7 @@ void Server::ServeHttp(int fd, const std::string& sniffed) {
   (void)WriteFullTimeout(fd, response.data(), response.size(), io_ms);
 }
 
-std::string Server::HandleQuery(const std::string& payload,
-                                std::uint8_t version) {
+std::string Server::HandleQuery(const std::string& payload) {
   const auto start = std::chrono::steady_clock::now();
   MODB_COUNTER_INC("serve.requests");
   auto reply_error = [](const Status& s) {
@@ -348,7 +344,7 @@ std::string Server::HandleQuery(const std::string& payload,
     return r.ok() ? *std::move(r) : std::string();
   };
 
-  Result<QueryRequest> req = DecodeQueryRequest(payload, version);
+  Result<QueryRequest> req = DecodeQueryRequest(payload);
   if (!req.ok()) return reply_error(req.status());
 
   ExecOptions options;
@@ -394,8 +390,7 @@ std::string Server::HandleQuery(const std::string& payload,
   return *std::move(reply);
 }
 
-std::string Server::HandleMutation(const std::string& payload,
-                                   std::uint8_t version) {
+std::string Server::HandleMutation(const std::string& payload) {
   const auto start = std::chrono::steady_clock::now();
   MODB_COUNTER_INC("serve.requests");
   auto reply_error = [](const Status& s) {
@@ -404,7 +399,7 @@ std::string Server::HandleMutation(const std::string& payload,
     return r.ok() ? *std::move(r) : std::string();
   };
 
-  Result<MutationRequest> req = DecodeMutationRequest(payload, version);
+  Result<MutationRequest> req = DecodeMutationRequest(payload);
   if (!req.ok()) return reply_error(req.status());
 
   // Mutations run single-threaded under the Db writer lock; they cost

@@ -135,13 +135,9 @@ class Server {
   /// Handles one already-sniffed HTTP connection (metrics endpoint).
   void ServeHttp(int fd, const std::string& sniffed);
   /// Decodes, admits, executes, and encodes one query payload.
-  /// `version` is the frame header's protocol version — it selects the
-  /// payload decoder (the reply frame is stamped with it by the
-  /// caller, so a v2 client gets a v2 conversation).
-  std::string HandleQuery(const std::string& payload, std::uint8_t version);
+  std::string HandleQuery(const std::string& payload);
   /// Decodes, admits, applies, and acks one mutation payload.
-  std::string HandleMutation(const std::string& payload,
-                             std::uint8_t version);
+  std::string HandleMutation(const std::string& payload);
 
   Db* const db_;
   const ServerOptions options_;

@@ -29,11 +29,10 @@ constexpr std::uint8_t kAckBlockKind = 3;
 
 }  // namespace
 
-std::string EncodeFrameHeader(FrameType type, std::uint32_t payload_len,
-                              std::uint8_t version) {
+std::string EncodeFrameHeader(FrameType type, std::uint32_t payload_len) {
   std::string h(kFrameHeaderBytes, '\0');
   std::memcpy(h.data(), kMagic, 4);
-  h[4] = char(version);
+  h[4] = char(kWireVersion);
   h[5] = char(std::uint8_t(type));
   h[6] = 0;
   h[7] = 0;
@@ -55,11 +54,10 @@ Result<FrameHeader> DecodeFrameHeader(std::string_view bytes) {
     return Status::DataLoss("bad frame magic (not a MODB stream)");
   }
   const std::uint8_t version = std::uint8_t(bytes[4]);
-  if (version < kMinWireVersion || version > kWireVersion) {
-    return Status::InvalidArgument(
-        "unsupported protocol version " + std::to_string(version) +
-        ", expected " + std::to_string(kMinWireVersion) + ".." +
-        std::to_string(kWireVersion));
+  if (version != kWireVersion) {
+    return Status::InvalidArgument("unsupported protocol version " +
+                                   std::to_string(version) + ", expected " +
+                                   std::to_string(kWireVersion));
   }
   const std::uint8_t type = std::uint8_t(bytes[5]);
   if (type != std::uint8_t(FrameType::kQuery) &&
@@ -80,7 +78,7 @@ Result<FrameHeader> DecodeFrameHeader(std::string_view bytes) {
         "frame payload length " + std::to_string(len) +
         " exceeds the " + std::to_string(kMaxFramePayload) + "-byte cap");
   }
-  return FrameHeader{FrameType(type), version, len};
+  return FrameHeader{FrameType(type), len};
 }
 
 void WireWriter::U8(std::uint8_t v) { buf_.push_back(char(v)); }
@@ -223,8 +221,7 @@ std::string EncodeQueryRequest(const QueryRequest& req) {
   return w.Take();
 }
 
-Result<QueryRequest> DecodeQueryRequest(std::string_view payload,
-                                        std::uint8_t version) {
+Result<QueryRequest> DecodeQueryRequest(std::string_view payload) {
   WireReader r(payload);
   QueryRequest req;
   std::uint8_t kind;
@@ -287,9 +284,7 @@ Result<QueryRequest> DecodeQueryRequest(std::string_view payload,
   MODB_RETURN_IF_ERROR(r.F64(&req.min_y));
   MODB_RETURN_IF_ERROR(r.F64(&req.max_x));
   MODB_RETURN_IF_ERROR(r.F64(&req.max_y));
-  if (version >= 3) {
-    MODB_RETURN_IF_ERROR(r.I64(&req.deadline_ms));
-  }
+  MODB_RETURN_IF_ERROR(r.I64(&req.deadline_ms));
   MODB_RETURN_IF_ERROR(r.ExpectEnd());
   return req;
 }
@@ -312,8 +307,7 @@ std::string EncodeMutationRequest(const MutationRequest& req) {
   return w.Take();
 }
 
-Result<MutationRequest> DecodeMutationRequest(std::string_view payload,
-                                              std::uint8_t version) {
+Result<MutationRequest> DecodeMutationRequest(std::string_view payload) {
   WireReader r(payload);
   MutationRequest req;
   std::uint8_t kind;
@@ -335,10 +329,8 @@ Result<MutationRequest> DecodeMutationRequest(std::string_view payload,
     req.fixes.push_back(std::move(f));
   }
   MODB_RETURN_IF_ERROR(r.U64(&req.seal_units));
-  if (version >= 3) {
-    MODB_RETURN_IF_ERROR(r.Str(&req.client_id));
-    MODB_RETURN_IF_ERROR(r.U64(&req.batch_seq));
-  }
+  MODB_RETURN_IF_ERROR(r.Str(&req.client_id));
+  MODB_RETURN_IF_ERROR(r.U64(&req.batch_seq));
   MODB_RETURN_IF_ERROR(r.ExpectEnd());
   return req;
 }

@@ -36,13 +36,10 @@ inline constexpr char kMagic[4] = {'M', 'O', 'D', 'B'};
 /// v2 added mutation frames (kMutation), the mutation ack result block,
 /// and the trailing window-aggregate fields of the query payload. v3
 /// appended the query deadline (deadline_ms) and the ingest idempotency
-/// key (client_id, batch_seq). Frames from any version in
-/// [kMinWireVersion, kWireVersion] are accepted — the payload decoders
-/// take the header's version and stop at that version's last field —
-/// and a server answers in the version the request arrived with, so v2
-/// peers keep working unchanged (see docs/PROTOCOL.md, "Versioning").
+/// key (client_id, batch_seq). Only kWireVersion is accepted; any other
+/// version byte is rejected at the header (see docs/PROTOCOL.md,
+/// "Versioning").
 inline constexpr std::uint8_t kWireVersion = 3;
-inline constexpr std::uint8_t kMinWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 /// Upper bound on a frame payload; larger length fields are rejected
 /// before any allocation.
@@ -61,14 +58,11 @@ enum class FrameType : std::uint8_t {
 
 struct FrameHeader {
   FrameType type = FrameType::kQuery;
-  /// The protocol version the peer stamped on this frame.
-  std::uint8_t version = kWireVersion;
   std::uint32_t payload_len = 0;
 };
 
-/// Encodes the 12-byte frame header.
-std::string EncodeFrameHeader(FrameType type, std::uint32_t payload_len,
-                              std::uint8_t version = kWireVersion);
+/// Encodes the 12-byte frame header, stamped with kWireVersion.
+std::string EncodeFrameHeader(FrameType type, std::uint32_t payload_len);
 
 /// Decodes a frame header. `bytes` must be exactly kFrameHeaderBytes;
 /// bad magic is DataLoss (the stream is not speaking this protocol —
@@ -119,19 +113,14 @@ class WireReader {
   std::size_t pos_ = 0;
 };
 
-/// QueryRequest <-> bytes, field for field. Encoders always emit the
-/// current version's field set; decoders take the frame header's
-/// version and require exactly that version's fields (a v2 payload
-/// stops before deadline_ms, which stays at its default).
+/// QueryRequest <-> bytes, field for field, in kWireVersion's layout;
+/// the decoder requires exactly that version's fields.
 std::string EncodeQueryRequest(const QueryRequest& req);
-Result<QueryRequest> DecodeQueryRequest(
-    std::string_view payload, std::uint8_t version = kWireVersion);
+Result<QueryRequest> DecodeQueryRequest(std::string_view payload);
 
-/// MutationRequest <-> bytes, field for field (same versioning rule:
-/// a v2 payload stops before client_id/batch_seq).
+/// MutationRequest <-> bytes, field for field (same rule).
 std::string EncodeMutationRequest(const MutationRequest& req);
-Result<MutationRequest> DecodeMutationRequest(
-    std::string_view payload, std::uint8_t version = kWireVersion);
+Result<MutationRequest> DecodeMutationRequest(std::string_view payload);
 
 /// MutationResult <-> bytes. The ack travels in the reply's result
 /// block slot under its own block kind (3), deliberately outside the

@@ -218,9 +218,6 @@ template Status AtInstantBatchXYInto<UPoint>(const Mapping<UPoint>&,
                                              const ExecOptions&);
 template Result<BatchXYOutput> AtInstantBatchXY<UPoint>(
     const Mapping<UPoint>&, const std::vector<Instant>&, const ExecOptions&);
-template Status AtInstantBatchManyXY<UPoint>(
-    const std::vector<const Mapping<UPoint>*>&, const std::vector<Instant>&,
-    std::vector<BatchXYOutput>*, const ExecOptions&);
 template Status PresentBatchInto<UPoint>(const Mapping<UPoint>&,
                                          const std::vector<Instant>&,
                                          std::vector<std::uint8_t>*,

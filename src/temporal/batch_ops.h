@@ -398,15 +398,17 @@ Status AtInstantBatchCore(const Mapping<U>& m,
   return Status::OK();
 }
 
-/// The XY evaluation core (see AtInstantBatchXYInto for the contract).
+/// The XY evaluation core (see AtInstantBatchXYInto for the contract):
+/// writes slot i of xs/ys/defined for instants[i], so each array must
+/// hold instants.size() slots. On a non-ascending batch the slots are
+/// unspecified.
 template <typename U>
   requires requires(const U& u) {
     { u.motion().x0 } -> std::convertible_to<double>;
   }
 Status AtInstantBatchXYCore(const Mapping<U>& m,
-                            const std::vector<Instant>& instants,
-                            std::vector<double>* xs, std::vector<double>* ys,
-                            std::vector<std::uint8_t>* defined,
+                            const std::vector<Instant>& instants, double* xs,
+                            double* ys, std::uint8_t* defined,
                             BatchScratch* scratch) {
   const std::size_t k = instants.size();
   std::size_t cursor = 0;
@@ -423,36 +425,25 @@ Status AtInstantBatchXYCore(const Mapping<U>& m,
         batch_internal::UnitsView<U>{&m.units()}, instants,
         scratch->unit_idx.data(), &cursor, &sweep);
   }
-  if (!ok) {
-    xs->clear();
-    ys->clear();
-    defined->clear();
-    return batch_internal::NotAscending();
-  }
-  // resize without a clear (see AtInstantBatchInto): every slot is
-  // overwritten below, so a warm same-size buffer costs nothing.
-  xs->resize(k);
-  ys->resize(k);
-  defined->resize(k);
+  if (!ok) return batch_internal::NotAscending();
   if (ix != nullptr && ix->has_motion()) {
     batch_internal::EvalMotionPositionsXY(*ix, instants.data(),
-                                          scratch->unit_idx.data(), k,
-                                          xs->data(), ys->data(),
-                                          defined->data());
+                                          scratch->unit_idx.data(), k, xs, ys,
+                                          defined);
   } else {
     // No packed coefficients: evaluate off the unit records (same
     // outputs, strided reads).
     for (std::size_t i = 0; i < k; ++i) {
       const std::int32_t j = scratch->unit_idx[i];
       if (j < 0) {
-        (*xs)[i] = 0;
-        (*ys)[i] = 0;
-        (*defined)[i] = 0;
+        xs[i] = 0;
+        ys[i] = 0;
+        defined[i] = 0;
       } else {
         const Point p = m.unit(std::size_t(j)).ValueAt(instants[i]);
-        (*xs)[i] = p.x;
-        (*ys)[i] = p.y;
-        (*defined)[i] = 1;
+        xs[i] = p.x;
+        ys[i] = p.y;
+        defined[i] = 1;
       }
     }
   }
@@ -492,9 +483,6 @@ class BatchStatsScope {
   void set_tuples_out(std::uint64_t n) {
     if (stats_ != nullptr) stats_->tuples_out = n;
   }
-  void set_workers(std::uint64_t n) {
-    if (stats_ != nullptr) stats_->workers = n;
-  }
 
  private:
   obs::ExecStats* stats_;
@@ -517,9 +505,10 @@ struct BatchXYOutput {
 // query operators and the exec engine, and filling options.stats with
 // one node when set. The merge sweeps are inherently serial, so the
 // single-mapping kernels run inline regardless of the requested worker
-// count (exactly like Project, a pure copy); AtInstantBatchManyXY is
-// the fan-out point and honours the full policy. The paged twins in
-// temporal/paged_ops.h share this shape.
+// count (exactly like Project, a pure copy). Many mappings at shared
+// instants fan out on the morsel pipeline instead (exec::BatchProbeOp,
+// the terminal Db::Run serves both batch query kinds with). The paged
+// twins in temporal/paged_ops.h share this shape.
 // ---------------------------------------------------------------------------
 
 /// atinstant over a batch of ascending instants: one merge sweep instead
@@ -582,8 +571,21 @@ Status AtInstantBatchXYInto(const Mapping<U>& m,
   MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
   batch_internal::BatchStatsScope stats(options.stats, "atinstant_batch_xy",
                                         instants.size());
-  MODB_RETURN_IF_ERROR(batch_internal::AtInstantBatchXYCore(
-      m, instants, &out->xs, &out->ys, &out->defined, scratch));
+  // resize without a clear (see AtInstantBatchInto): the core
+  // overwrites every slot, so a warm same-size buffer costs nothing.
+  const std::size_t k = instants.size();
+  out->xs.resize(k);
+  out->ys.resize(k);
+  out->defined.resize(k);
+  if (Status s = batch_internal::AtInstantBatchXYCore(
+          m, instants, out->xs.data(), out->ys.data(), out->defined.data(),
+          scratch);
+      !s.ok()) {
+    out->xs.clear();
+    out->ys.clear();
+    out->defined.clear();
+    return s;
+  }
   if (stats.armed()) {
     std::uint64_t defined = 0;
     for (std::uint8_t d : out->defined) defined += d;
@@ -608,97 +610,34 @@ Result<BatchXYOutput> AtInstantBatchXY(const Mapping<U>& m,
   return out;
 }
 
-/// Many-mapping parallel front-end for AtInstantBatchXYInto: evaluates
-/// every mapping of `maps` at the same ascending instants, filling
-/// (*outs)[i] from maps[i]. The mapping list is statically chunked
-/// across `options.parallel` (same chunk-boundary rule as ParallelFor,
-/// one warm BatchScratch per chunk), so outputs land at fixed slots and
-/// the result is identical to the serial loop for any worker count. The
-/// thread-count sanity bound is enforced by the same shared helper as
-/// the query operators and the exec engine (db/parallel.h); on error,
-/// the lowest failing mapping index's Status is returned.
-template <typename U>
-  requires requires(const U& u) {
-    { u.motion().x0 } -> std::convertible_to<double>;
-  }
-Status AtInstantBatchManyXY(const std::vector<const Mapping<U>*>& maps,
-                            const std::vector<Instant>& instants,
-                            std::vector<BatchXYOutput>* outs,
-                            const ExecOptions& options = {}) {
-  MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
-  batch_internal::BatchStatsScope stats(
-      options.stats, "atinstant_batch_many_xy",
-      std::uint64_t(maps.size()) * instants.size());
-  outs->resize(maps.size());
-  auto run_range = [&](std::size_t begin, std::size_t end,
-                       BatchScratch* scratch) -> Status {
-    for (std::size_t i = begin; i < end; ++i) {
-      BatchXYOutput& o = (*outs)[i];
-      MODB_RETURN_IF_ERROR(batch_internal::AtInstantBatchXYCore(
-          *maps[i], instants, &o.xs, &o.ys, &o.defined, scratch));
-    }
-    return Status::OK();
-  };
-  const std::size_t workers = ResolveWorkerCount(options.parallel);
-  const std::size_t chunks = std::min(workers, maps.size());
-  stats.set_workers(chunks > 0 ? chunks : 1);
-  Status run_status = Status::OK();
-  if (chunks <= 1) {
-    BatchScratch scratch;
-    run_status = run_range(0, maps.size(), &scratch);
-  } else {
-    std::vector<Status> chunk_status(chunks, Status::OK());
-    ParallelFor(ResolvePool(options.parallel), maps.size(), chunks,
-                [&](std::size_t c, std::size_t begin, std::size_t end) {
-                  BatchScratch scratch;
-                  chunk_status[c] = run_range(begin, end, &scratch);
-                });
-    for (Status& s : chunk_status) {
-      if (!s.ok()) {
-        run_status = s;
-        break;
-      }
-    }
-  }
-  MODB_RETURN_IF_ERROR(run_status);
-  if (stats.armed()) {
-    std::uint64_t defined = 0;
-    for (const BatchXYOutput& o : *outs) {
-      for (std::uint8_t d : o.defined) defined += d;
-    }
-    stats.set_tuples_out(defined);
-  }
-  return Status::OK();
-}
-
 namespace batch_internal {
 
-/// The present sweep core (see PresentBatchInto for the contract).
+/// The present sweep core (see PresentBatchInto for the contract):
+/// writes out[i] for instants[i], so `out` must hold instants.size()
+/// slots. On a non-ascending batch the slots are unspecified.
 template <typename U>
 Status PresentBatchCore(const Mapping<U>& m,
                         const std::vector<Instant>& instants,
-                        std::vector<std::uint8_t>* out) {
-  out->clear();
-  out->reserve(instants.size());
+                        std::uint8_t* out) {
   std::size_t cursor = 0;
   Instant prev = -std::numeric_limits<Instant>::infinity();
   batch_internal::SweepCounters sweep;
   auto run = [&](const auto& view) {
     const std::size_t hint = std::max<std::size_t>(
         1, view.size() / std::max<std::size_t>(1, instants.size()));
-    for (Instant t : instants) {
+    for (std::size_t q = 0; q < instants.size(); ++q) {
+      const Instant t = instants[q];
       if (t < prev) return false;
       prev = t;
       if (view.certainly_undefined(t)) {
         ++sweep.bbox_skips;
-        out->push_back(0);
+        out[q] = 0;
         continue;
       }
-      out->push_back(batch_internal::SweepFind(view, t, &cursor, hint,
-                                               &sweep) !=
-                             batch_internal::kNpos
-                         ? 1
-                         : 0);
+      out[q] = batch_internal::SweepFind(view, t, &cursor, hint, &sweep) !=
+                       batch_internal::kNpos
+                   ? 1
+                   : 0;
     }
     return true;
   };
@@ -725,7 +664,12 @@ Status PresentBatchInto(const Mapping<U>& m,
   MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
   batch_internal::BatchStatsScope stats(options.stats, "present_batch",
                                         instants.size());
-  MODB_RETURN_IF_ERROR(batch_internal::PresentBatchCore(m, instants, out));
+  out->resize(instants.size());
+  if (Status s = batch_internal::PresentBatchCore(m, instants, out->data());
+      !s.ok()) {
+    out->clear();
+    return s;
+  }
   if (stats.armed()) {
     std::uint64_t present = 0;
     for (std::uint8_t p : *out) present += p;

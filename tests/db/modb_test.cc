@@ -380,6 +380,50 @@ TEST(DbRun, BatchKindsRejectUnsortedInstants) {
   EXPECT_EQ(db.Run(req).status().code(), StatusCode::kInvalidArgument);
 }
 
+// Tuples × instants is capped at 2^21 cells before anything is planned
+// or allocated: exactly the cap is served, one cell more is a typed
+// kInvalidArgument (never kResourceExhausted, which clients retry).
+TEST(DbRun, BatchCellsAreCappedBeforeAnyWork) {
+  constexpr std::size_t kCap = std::size_t(1) << 21;
+  Db db;
+  ASSERT_TRUE(db.Register(Planes(1)).ok());
+  const Relation planes3 = Planes(3);
+  Relation three("three", planes3.schema());
+  for (const Tuple& t : planes3.tuples()) ASSERT_TRUE(three.Insert(t).ok());
+  ASSERT_TRUE(db.Register(std::move(three)).ok());
+
+  std::vector<Instant> instants(kCap);
+  for (std::size_t i = 0; i < kCap; ++i) instants[i] = double(i) * 1e-5;
+  QueryRequest req;
+  req.attr = "flight";
+  for (QueryRequest::Kind kind : {QueryRequest::Kind::kAtInstantBatch,
+                                  QueryRequest::Kind::kPresentBatch}) {
+    req.kind = kind;
+    req.relation = "planes";
+    req.instants = instants;
+    Result<QueryResult> at_cap = db.Run(req);
+    ASSERT_TRUE(at_cap.ok()) << at_cap.status();
+    EXPECT_EQ(at_cap->batch_tuples * at_cap->batch_instants, kCap);
+    EXPECT_EQ(kind == QueryRequest::Kind::kAtInstantBatch
+                  ? at_cap->defined.size()
+                  : at_cap->present.size(),
+              kCap);
+
+    // 1 tuple x (cap + 1) instants.
+    req.instants.push_back(req.instants.back());
+    Result<QueryResult> over = db.Run(req);
+    EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument)
+        << over.status();
+    EXPECT_NE(over.status().message().find("cells"), std::string::npos);
+
+    // 3 tuples x 699051 instants = cap + 1 as well.
+    req.relation = "three";
+    req.instants.resize((kCap + 1) / 3);
+    ASSERT_EQ(3 * req.instants.size(), kCap + 1);
+    EXPECT_EQ(db.Run(req).status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: byte-identical result blocks for every thread count.
 // ---------------------------------------------------------------------------
@@ -414,6 +458,8 @@ TEST(DbRun, ResultBlocksAreByteIdenticalAcrossThreadCounts) {
   batch.relation = "planes";
   batch.attr = "flight";
   for (Instant t = 0; t <= 24.0; t += 0.5) batch.instants.push_back(t);
+  requests.push_back(batch);
+  batch.kind = QueryRequest::Kind::kPresentBatch;
   requests.push_back(batch);
 
   for (const QueryRequest& req : requests) {

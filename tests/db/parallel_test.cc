@@ -15,7 +15,7 @@ namespace modb {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool / ParallelFor.
+// ThreadPool.
 // ---------------------------------------------------------------------------
 
 TEST(ThreadPool, RunsSubmittedTasks) {
@@ -39,45 +39,6 @@ TEST(ThreadPool, DefaultSizeIsPositive) {
   ThreadPool pool;
   EXPECT_GE(pool.num_threads(), 1);
   EXPECT_GE(ThreadPool::Shared().num_threads(), 1);
-}
-
-TEST(ParallelFor, CoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  for (std::size_t n : {0u, 1u, 5u, 100u, 1000u}) {
-    for (std::size_t chunks : {1u, 2u, 3u, 7u, 64u}) {
-      std::vector<std::atomic<int>> hits(n);
-      for (auto& h : hits) h.store(0);
-      ParallelFor(pool, n, chunks,
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      hits[i].fetch_add(1);
-                    }
-                  });
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " chunks=" << chunks
-                                     << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(ParallelFor, ChunkBoundariesAreContiguousAndOrdered) {
-  ThreadPool pool(2);
-  const std::size_t n = 37, chunks = 5;
-  std::vector<std::pair<std::size_t, std::size_t>> ranges(chunks, {0, 0});
-  std::mutex mu;
-  ParallelFor(pool, n, chunks,
-              [&](std::size_t c, std::size_t begin, std::size_t end) {
-                std::lock_guard<std::mutex> lock(mu);
-                ranges[c] = {begin, end};
-              });
-  std::size_t expect_begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    EXPECT_EQ(ranges[c].first, expect_begin) << c;
-    EXPECT_LE(ranges[c].first, ranges[c].second) << c;
-    expect_begin = ranges[c].second;
-  }
-  EXPECT_EQ(expect_begin, n);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <latch>
 #include <string>
 
 #include "core/range_set.h"
@@ -86,8 +87,8 @@ TEST(MetricsRegistry, ResetAllKeepsRegistrations) {
 }
 
 // The correctness property the whole hot-path design rests on: relaxed
-// atomic increments from ParallelFor workers lose nothing — the final
-// counter equals the serial total at every chunking.
+// atomic increments from concurrent pool workers lose nothing — the
+// final counter equals the serial total at every chunking.
 TEST(MetricsRegistry, CountsUnderParallelForMatchSerial) {
   Metrics m;
   ThreadPool pool(4);
@@ -95,13 +96,20 @@ TEST(MetricsRegistry, CountsUnderParallelForMatchSerial) {
   for (std::size_t chunks : {1u, 2u, 7u, 64u}) {
     Counter* c = m.counter("parallel_sum");
     c->Reset();
-    ParallelFor(pool, n, chunks,
-                [&](std::size_t, std::size_t begin, std::size_t end) {
-                  // Local-accumulate-then-flush, as the library does.
-                  std::uint64_t local = 0;
-                  for (std::size_t i = begin; i < end; ++i) local += i;
-                  c->Inc(local);
-                });
+    // Chunk k covers [k*n/chunks, (k+1)*n/chunks), one task each.
+    std::latch done{std::ptrdiff_t(chunks)};
+    for (std::size_t k = 0; k < chunks; ++k) {
+      pool.Submit([&, k] {
+        // Local-accumulate-then-flush, as the library does.
+        std::uint64_t local = 0;
+        for (std::size_t i = k * n / chunks; i < (k + 1) * n / chunks; ++i) {
+          local += i;
+        }
+        c->Inc(local);
+        done.count_down();
+      });
+    }
+    done.wait();
     EXPECT_EQ(c->value(), std::uint64_t(n) * (n - 1) / 2) << chunks;
   }
 }

@@ -220,6 +220,38 @@ TEST_F(ServerTest, EveryQueryKindMatchesDirectExecution) {
   }
 }
 
+// A batch whose tuples × instants exceeds Db::Run's 2^21-cell cap gets
+// a typed kInvalidArgument reply (non-retryable) instead of an
+// allocation that could take modbd down, and the connection and server
+// keep serving.
+TEST_F(ServerTest, OversizedBatchRepliesTypedAndServerKeepsServing) {
+  StartServer();
+  Client client = MustConnect();
+  // 12 flights x 2^18 instants = 3 * 2^20 cells, past the cap.
+  QueryRequest big = BatchRequest(QueryRequest::Kind::kAtInstantBatch);
+  big.instants.resize(std::size_t(1) << 18);
+  for (std::size_t i = 0; i < big.instants.size(); ++i) {
+    big.instants[i] = double(i) * 1e-4;
+  }
+  for (QueryRequest::Kind kind : {QueryRequest::Kind::kAtInstantBatch,
+                                  QueryRequest::Kind::kPresentBatch}) {
+    big.kind = kind;
+    Result<Client::Reply> reply = client.Query(big);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(reply->status.code(), StatusCode::kInvalidArgument)
+        << reply->status;
+    EXPECT_FALSE(IsRetryableStatus(reply->status));
+    EXPECT_TRUE(reply->result_block.empty());
+  }
+
+  Result<Client::Reply> next =
+      client.Query(BatchRequest(QueryRequest::Kind::kAtInstantBatch));
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_TRUE(next->status.ok()) << next->status;
+  EXPECT_FALSE(next->result_block.empty());
+  EXPECT_EQ(server_->admission().in_use(), 0);
+}
+
 TEST_F(ServerTest, EightConcurrentClientsAreByteIdentical) {
   StartServer();
   const QueryRequest base = Q1Select();

@@ -567,70 +567,25 @@ TEST(MutationAckCodec, ReplyRoundTripsOkAndError) {
 }
 
 // ---------------------------------------------------------------------------
-// Versioning: v2 peers must keep working against a v3 codec. v3
-// appended deadline_ms to the query payload and (client_id, batch_seq)
-// to the mutation payload, so a v2 payload is exactly a v3 payload with
-// the tail cut off — the decoders stop at the header version's last
-// field.
+// Versioning: exactly one version is accepted. v2 peers are no longer
+// served; their frames fail at the header, before the payload is read.
 // ---------------------------------------------------------------------------
 
 TEST(Versioning, FrameHeaderRoundTripsEveryAcceptedVersion) {
-  for (std::uint8_t v = kMinWireVersion; v <= kWireVersion; ++v) {
-    Result<struct FrameHeader> d =
-        DecodeFrameHeader(EncodeFrameHeader(FrameType::kMutation, 99, v));
-    ASSERT_TRUE(d.ok()) << "version " << int(v) << ": " << d.status();
-    EXPECT_EQ(d->version, v);
-    EXPECT_EQ(d->type, FrameType::kMutation);
-    EXPECT_EQ(d->payload_len, 99u);
+  const std::string h = EncodeFrameHeader(FrameType::kMutation, 99);
+  EXPECT_EQ(std::uint8_t(h[4]), kWireVersion);
+  Result<struct FrameHeader> d = DecodeFrameHeader(h);
+  ASSERT_TRUE(d.ok()) << d.status();
+  EXPECT_EQ(d->type, FrameType::kMutation);
+  EXPECT_EQ(d->payload_len, 99u);
+  // The retired v2 and a future v4 are both typed rejections.
+  for (std::uint8_t v : {std::uint8_t(2), std::uint8_t(4)}) {
+    std::string other = h;
+    other[4] = char(v);
+    EXPECT_EQ(DecodeFrameHeader(other).status().code(),
+              StatusCode::kInvalidArgument)
+        << "version " << int(v);
   }
-  // One below the floor and one above the ceiling are both rejected.
-  EXPECT_FALSE(DecodeFrameHeader(EncodeFrameHeader(
-                   FrameType::kQuery, 0, kMinWireVersion - 1))
-                   .ok());
-  EXPECT_FALSE(DecodeFrameHeader(EncodeFrameHeader(
-                   FrameType::kQuery, 0, kWireVersion + 1))
-                   .ok());
-}
-
-TEST(Versioning, V2QueryPayloadDecodesWithDefaultDeadline) {
-  QueryRequest req = FullRequest();
-  const std::string v3 = EncodeQueryRequest(req);
-  // A v2 encoder never wrote the trailing i64 deadline.
-  const std::string v2 = v3.substr(0, v3.size() - 8);
-
-  Result<QueryRequest> d = DecodeQueryRequest(v2, 2);
-  ASSERT_TRUE(d.ok()) << d.status();
-  EXPECT_EQ(d->deadline_ms, 0);  // default: no deadline
-  req.deadline_ms = 0;
-  ExpectRequestsEqual(req, *d);
-
-  // The same truncated bytes under a v3 header are short one field, and
-  // a full v3 payload under a v2 header has trailing bytes — both typed.
-  EXPECT_EQ(DecodeQueryRequest(v2, 3).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(DecodeQueryRequest(v3, 2).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(Versioning, V2MutationPayloadDecodesUnkeyed) {
-  MutationRequest req = FullMutation();
-  const std::string v3 = EncodeMutationRequest(req);
-  // v3 tail: u32 len + "tracker-07" + u64 batch_seq.
-  const std::size_t tail = 4 + req.client_id.size() + 8;
-  const std::string v2 = v3.substr(0, v3.size() - tail);
-
-  Result<MutationRequest> d = DecodeMutationRequest(v2, 2);
-  ASSERT_TRUE(d.ok()) << d.status();
-  EXPECT_TRUE(d->client_id.empty());  // unkeyed: no dedup window entry
-  EXPECT_EQ(d->batch_seq, 0u);
-  req.client_id.clear();
-  req.batch_seq = 0;
-  ExpectMutationsEqual(req, *d);
-
-  EXPECT_EQ(DecodeMutationRequest(v2, 3).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(DecodeMutationRequest(v3, 2).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

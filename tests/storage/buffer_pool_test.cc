@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -171,19 +172,23 @@ TEST(BufferPoolTest, PinCountsStayCorrectUnderParallelFor) {
   BufferPool pool(&store, 4);
   std::atomic<int> failures{0};
   std::atomic<std::uint64_t> pins{0};
-  ParallelFor(workers, kChunks, kChunks,
-              [&](std::size_t chunk, std::size_t, std::size_t) {
-                for (int r = 0; r < kRoundsPerChunk; ++r) {
-                  uint32_t page = uint32_t((chunk * 31 + r) % kPages);
-                  auto ref = pool.Pin(page);
-                  if (!ref.ok()) {
-                    ++failures;
-                    continue;
-                  }
-                  ++pins;
-                  if (ref->data()[0] != char('a' + page)) ++failures;
-                }
-              });
+  std::latch done(std::ptrdiff_t{kChunks});
+  for (std::size_t chunk = 0; chunk < kChunks; ++chunk) {
+    workers.Submit([&, chunk] {
+      for (int r = 0; r < kRoundsPerChunk; ++r) {
+        uint32_t page = uint32_t((chunk * 31 + r) % kPages);
+        auto ref = pool.Pin(page);
+        if (!ref.ok()) {
+          ++failures;
+          continue;
+        }
+        ++pins;
+        if (ref->data()[0] != char('a' + page)) ++failures;
+      }
+      done.count_down();
+    });
+  }
+  done.wait();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(pool.NumPinned(), 0u);  // every RAII ref released its pin
   BufferPoolStats stats = pool.stats();
@@ -199,7 +204,7 @@ TEST(BufferPoolTest, ParallelWritebackFailureNeverLosesDirtyBytes) {
   PageStore store = MakeDevice(8);
   BufferPool pool(&store, 4);
   // Dirty page 0, then arm one write fault: the first eviction that
-  // picks page 0 as victim fails its writeback mid-ParallelFor.
+  // picks page 0 as victim fails its writeback while the workers run.
   {
     auto ref = pool.Pin(0);
     ASSERT_TRUE(ref.ok());
@@ -210,21 +215,26 @@ TEST(BufferPoolTest, ParallelWritebackFailureNeverLosesDirtyBytes) {
   std::atomic<int> injected_failures{0};
   std::atomic<int> other_failures{0};
   ThreadPool workers(4);
-  ParallelFor(workers, 64, 8,
-              [&](std::size_t, std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                  auto ref = pool.Pin(std::uint32_t(1 + (i % 7)));
-                  if (!ref.ok()) {
-                    if (ref.status().code() == StatusCode::kInternal) {
-                      ++injected_failures;
-                    } else {
-                      ++other_failures;
-                    }
-                    continue;
-                  }
-                  EXPECT_EQ(ref->data()[0], char('a' + 1 + (i % 7)));
-                }
-              });
+  // 64 pins in 8 chunks of 8, one task per chunk.
+  std::latch done(8);
+  for (std::size_t chunk = 0; chunk < 8; ++chunk) {
+    workers.Submit([&, chunk] {
+      for (std::size_t i = chunk * 8; i < (chunk + 1) * 8; ++i) {
+        auto ref = pool.Pin(std::uint32_t(1 + (i % 7)));
+        if (!ref.ok()) {
+          if (ref.status().code() == StatusCode::kInternal) {
+            ++injected_failures;
+          } else {
+            ++other_failures;
+          }
+          continue;
+        }
+        EXPECT_EQ(ref->data()[0], char('a' + 1 + (i % 7)));
+      }
+      done.count_down();
+    });
+  }
+  done.wait();
   FaultInjector::Global().Disarm();
 
   // The one-shot plan surfaced to exactly one pin; every other
