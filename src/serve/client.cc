@@ -120,7 +120,7 @@ RetryingClient::RetryingClient(std::string host, int port,
       policy_(policy),
       rng_(policy.jitter_seed) {}
 
-Status RetryingClient::EnsureConnected() {
+Status RetryingClient::Connect() {
   if (client_.has_value()) return Status::OK();
   Result<Client> c = Client::Connect(host_, port_, options_);
   MODB_RETURN_IF_ERROR(c.status());
@@ -147,7 +147,7 @@ Result<Client::Reply> RetryingClient::Query(const QueryRequest& req) {
       ++retries_;
       Backoff(attempt - 1);
     }
-    if (Status s = EnsureConnected(); !s.ok()) {
+    if (Status s = Connect(); !s.ok()) {
       last = s;
       if (!IsRetryableStatus(s)) return last;
       continue;
@@ -177,7 +177,7 @@ Result<Client::MutationReply> RetryingClient::Mutate(
       ++retries_;
       Backoff(attempt - 1);
     }
-    if (Status s = EnsureConnected(); !s.ok()) {
+    if (Status s = Connect(); !s.ok()) {
       last = s;
       if (!IsRetryableStatus(s)) return last;
       continue;

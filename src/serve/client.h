@@ -131,8 +131,12 @@ class RetryingClient {
   /// Connections (re)established so far.
   std::uint64_t reconnects() const { return reconnects_; }
 
+  /// Connects now unless already connected, so that the first request's
+  /// latency excludes the handshake. Query and Mutate connect on demand
+  /// without it. No retries.
+  Status Connect();
+
  private:
-  Status EnsureConnected();
   /// Sleeps the policy's backoff for 1-based retry `k`.
   void Backoff(int k);
 

@@ -1,37 +1,32 @@
 // bench_compare: perf gates over google-benchmark JSON export files.
 //
-// Modes:
-//   bench_compare BASELINE.json CURRENT.json [--threshold=0.15]
+// Modes (the bounds are the constants below):
+//   bench_compare BASELINE.json CURRENT.json
 //       Regression gate. Benchmarks are matched by name (aggregate rows
 //       like *_mean are ignored); a benchmark whose cpu_time grew by
-//       more than the threshold relative to the baseline fails the run.
+//       more than 15 % relative to the baseline fails the run.
 //       Benchmarks present in only one file are reported but never fail
 //       — the suite is allowed to grow.
-//   bench_compare --scaling FILE.json [--min-speedup=2.0]
+//   bench_compare --scaling FILE.json
 //       Thread-scaling gate over a bench_scaling export: the pipelined
-//       Select+Join plan must be at least min-speedup faster (real
-//       time) at 4 threads than at 1. Hosts with fewer than 4 CPUs
-//       cannot honestly run this check, so it warns and passes there.
-//   bench_compare --serving FILE.json [--max-p99-ms=5000] [--min-qps=25]
-//       Serving gate over a loadgen BENCH_serving.json export: the run
-//       must have completed requests and zero hard errors (typed
-//       admission rejections are NOT errors), and every */p99 latency
-//       row must stay under max-p99-ms. The qps floor is a throughput
-//       gate, so — like --scaling — it warns and passes on hosts with
-//       fewer than 4 CPUs, where throughput numbers are not honest.
-//   bench_compare --ingest FILE.json [--max-p99-ms=5000]
-//       [--min-fix-rate=1000]
-//       Ingest gate over a loadgen --ingest BENCH_ingest.json export:
-//       fixes must have been accepted with zero hard errors, every
-//       */p99 row (ingest batches AND concurrent live queries) must
-//       stay under max-p99-ms, and the sustained fix rate must clear
-//       the floor — which, like the qps floor, warns and passes on
-//       hosts with fewer than 4 CPUs.
-//   bench_compare --storage FILE.json [--min-ratio=1.5]
-//       [--min-reader-items=50000]
+//       Select+Join plan must be at least 2x faster (real time) at 4
+//       threads than at 1. Hosts with fewer than 4 CPUs cannot honestly
+//       run this check, so it warns and passes there.
+//   bench_compare --serving FILE.json
+//   bench_compare --ingest FILE.json
+//       Load gate over a loadgen export: BENCH_serving.json (serve
+//       mode) or BENCH_ingest.json (--ingest). The run must have
+//       completed requests (serving) or accepted fixes (ingest) with
+//       zero hard errors (typed admission rejections are NOT errors),
+//       and every */p99 latency row (for ingest: batches AND the
+//       concurrent live queries) must stay under 5000 ms. The qps
+//       (serving) or fix-rate (ingest) floor is a throughput gate, so —
+//       like --scaling — it warns and passes on hosts with fewer than 4
+//       CPUs, where throughput numbers are not honest.
+//   bench_compare --storage FILE.json
 //       Storage-device gate over a bench_storage export: the warm
 //       spilled sequential scan on the mmap device must be at least
-//       min-ratio faster (real time) than on the file device — a
+//       1.5x faster (real time) than on the file device — a
 //       single-threaded ratio, honest on any host, so it never skips.
 //       The epoch-pinned concurrent-reader items/s floor warns and
 //       passes on hosts with fewer than 4 CPUs.
@@ -51,10 +46,8 @@
 // does.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -62,6 +55,16 @@
 #include "obs/json.h"
 
 namespace {
+
+// Gate bounds. tools/verify.sh gates every snapshot with these values;
+// a bound that moves is a change to the gate, reviewed as one.
+constexpr double kRegressionThreshold = 0.15;  // cpu_time growth
+constexpr double kMinSpeedup = 2.0;            // 1 -> 4 threads
+constexpr double kMaxP99Ms = 5000;             // every loadgen */p99 row
+constexpr double kMinQps = 25;                 // serving throughput
+constexpr double kMinFixRate = 1000;           // ingest fixes/s
+constexpr double kMinRatio = 1.5;              // warm mmap vs file scan
+constexpr double kMinReaderItems = 50000;      // pinned reads/s
 
 struct BenchRow {
   std::string name;
@@ -73,6 +76,7 @@ struct BenchRow {
 struct BenchContext {
   std::string build_type;  // lowercased; empty when absent
   int num_cpus = 0;
+  modb::obs::JsonValue json;  // the whole "context" object
 };
 
 double UnitToNs(const std::string& unit) {
@@ -105,6 +109,7 @@ bool LoadFile(const char* path, std::vector<BenchRow>* rows,
     return false;
   }
   if (const modb::obs::JsonValue* ctx = parsed->Find("context")) {
+    context->json = *ctx;
     const modb::obs::JsonValue* build = ctx->Find("modb_build_type");
     if (build == nullptr) build = ctx->Find("library_build_type");
     if (build != nullptr) context->build_type = LowerCase(build->string_value());
@@ -161,7 +166,7 @@ int CheckRelease(const char* path, const BenchContext& context) {
   return 1;
 }
 
-int RunScalingGate(const char* path, double min_speedup, bool require_release) {
+int RunScalingGate(const char* path, bool require_release) {
   std::vector<BenchRow> rows;
   BenchContext context;
   if (!LoadFile(path, &rows, &context)) return 2;
@@ -190,70 +195,92 @@ int RunScalingGate(const char* path, double min_speedup, bool require_release) {
     std::printf(
         "bench_compare: WARNING: host has %d CPUs (< 4); scaling gate "
         "skipped — the %.1fx floor only applies on >= 4 cores\n",
-        context.num_cpus, min_speedup);
+        context.num_cpus, kMinSpeedup);
     return 0;
   }
-  if (speedup < min_speedup) {
+  if (speedup < kMinSpeedup) {
     std::fprintf(stderr,
                  "bench_compare: scaling gate FAILED: %.2fx at 4 threads "
                  "(floor %.1fx on a %d-CPU host)\n",
-                 speedup, min_speedup, context.num_cpus);
+                 speedup, kMinSpeedup, context.num_cpus);
     return 1;
   }
   std::printf("bench_compare: scaling gate passed (%.2fx >= %.1fx)\n", speedup,
-              min_speedup);
+              kMinSpeedup);
   return 0;
 }
 
-int RunServingGate(const char* path, double max_p99_ms, double min_qps,
-                   bool require_release) {
+// The serving and ingest exports differ only in the context block
+// loadgen writes and in which of its fields the gate reads.
+struct LoadGate {
+  const char* name;   // the mode, "serving" or "ingest"
+  const char* block;  // context block loadgen writes
+  // The summary fields: {printed label, block key}. `count` must be
+  // positive, `other` is reported only, `rate` is held to min_rate.
+  struct Field {
+    const char* label;
+    const char* key;
+  } count, other, rate;
+  const char* rate_unit;  // "/s" suffix on the summary line, or ""
+  const char* nothing;    // the failure when count is 0
+  const char* floor;      // the throughput floor's name
+  const char* unit;       // the throughput unit
+  int digits;             // printed decimals of the throughput
+  double min_rate;
+};
+
+constexpr LoadGate kServingGate = {
+    "serving", "modb_serving",
+    {"completed", "completed"}, {"rejected", "rejected"}, {"qps", "qps"},
+    "", "no request completed", "qps", "qps", 1, kMinQps};
+constexpr LoadGate kIngestGate = {
+    "ingest", "modb_ingest",
+    {"accepted", "fixes_accepted"}, {"queries", "queries_completed"},
+    {"fix_rate", "fix_rate"}, "/s", "no fix accepted", "fix-rate",
+    "fixes/s", 0, kMinFixRate};
+
+int RunLoadGate(const LoadGate& gate, const char* path,
+                bool require_release) {
   std::vector<BenchRow> rows;
   BenchContext context;
   if (!LoadFile(path, &rows, &context)) return 2;
   if (require_release && CheckRelease(path, context) != 0) return 1;
 
-  // Pull the serving summary out of the context block.
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  auto parsed = modb::obs::JsonValue::Parse(buf.str());
-  if (!parsed.ok()) return 2;
-  const modb::obs::JsonValue* ctx = parsed->Find("context");
-  const modb::obs::JsonValue* serving =
-      ctx != nullptr ? ctx->Find("modb_serving") : nullptr;
-  if (serving == nullptr) {
+  const modb::obs::JsonValue* summary = context.json.Find(gate.block);
+  if (summary == nullptr) {
     std::fprintf(stderr,
-                 "bench_compare: %s has no context.modb_serving block (not "
-                 "a loadgen export?)\n",
-                 path);
+                 "bench_compare: %s has no context.%s block (not a "
+                 "loadgen export?)\n",
+                 path, gate.block);
     return 2;
   }
-  auto num = [serving](const char* key) -> double {
-    const modb::obs::JsonValue* v = serving->Find(key);
+  auto num = [summary](const char* key) -> double {
+    const modb::obs::JsonValue* v = summary->Find(key);
     return v != nullptr ? v->number_value() : 0;
   };
-  const double completed = num("completed");
+  const double count = num(gate.count.key);
   const double errors = num("errors");
   const double rejected = num("rejected");
-  const double qps = num("qps");
-  std::printf(
-      "  serving  completed=%.0f errors=%.0f rejected=%.0f qps=%.1f\n",
-      completed, errors, rejected, qps);
+  const double rate = num(gate.rate.key);
+  std::printf("  %-8s %s=%.0f errors=%.0f %s=%.0f %s=%.*f%s\n", gate.name,
+              gate.count.label, count, errors, gate.other.label,
+              num(gate.other.key), gate.rate.label, gate.digits, rate,
+              gate.rate_unit);
 
   int failures = 0;
-  if (completed <= 0) {
-    std::fprintf(stderr, "bench_compare: serving gate FAILED: no request "
-                         "completed\n");
+  if (count <= 0) {
+    std::fprintf(stderr, "bench_compare: %s gate FAILED: %s\n", gate.name,
+                 gate.nothing);
     ++failures;
   }
   if (errors != 0) {
     std::fprintf(stderr,
-                 "bench_compare: serving gate FAILED: %.0f hard errors "
+                 "bench_compare: %s gate FAILED: %.0f hard errors "
                  "(typed rejections are counted separately: %.0f)\n",
-                 errors, rejected);
+                 gate.name, errors, rejected);
     ++failures;
   }
-  const double max_p99_ns = max_p99_ms * 1e6;
+  const double max_p99_ns = kMaxP99Ms * 1e6;
   for (const BenchRow& r : rows) {
     const std::string suffix = "/p99";
     if (r.name.size() < suffix.size() ||
@@ -266,119 +293,35 @@ int RunServingGate(const char* path, double max_p99_ms, double min_qps,
                 r.name.c_str(), r.real_time);
     if (bad) {
       std::fprintf(stderr,
-                   "bench_compare: serving gate FAILED: %s = %.1f ms exceeds "
-                   "--max-p99-ms=%.0f\n",
-                   r.name.c_str(), r.real_time / 1e6, max_p99_ms);
+                   "bench_compare: %s gate FAILED: %s = %.1f ms exceeds "
+                   "the %.0f ms p99 ceiling\n",
+                   gate.name, r.name.c_str(), r.real_time / 1e6, kMaxP99Ms);
       ++failures;
     }
   }
-  if (qps < min_qps) {
+  if (rate < gate.min_rate) {
     if (context.num_cpus < 4) {
       std::printf(
-          "bench_compare: WARNING: host has %d CPUs (< 4); qps floor "
-          "skipped — %.1f qps measured, %.1f required on >= 4 cores\n",
-          context.num_cpus, qps, min_qps);
+          "bench_compare: WARNING: host has %d CPUs (< 4); %s floor "
+          "skipped — %.*f %s measured, %.*f required on >= 4 cores\n",
+          context.num_cpus, gate.floor, gate.digits, rate, gate.unit,
+          gate.digits, gate.min_rate);
     } else {
       std::fprintf(stderr,
-                   "bench_compare: serving gate FAILED: %.1f qps below the "
-                   "%.1f floor on a %d-CPU host\n",
-                   qps, min_qps, context.num_cpus);
+                   "bench_compare: %s gate FAILED: %.*f %s below the %.*f "
+                   "floor on a %d-CPU host\n",
+                   gate.name, gate.digits, rate, gate.unit, gate.digits,
+                   gate.min_rate, context.num_cpus);
       ++failures;
     }
   }
   if (failures == 0) {
-    std::printf("bench_compare: serving gate passed\n");
+    std::printf("bench_compare: %s gate passed\n", gate.name);
   }
   return failures == 0 ? 0 : 1;
 }
 
-int RunIngestGate(const char* path, double max_p99_ms, double min_fix_rate,
-                  bool require_release) {
-  std::vector<BenchRow> rows;
-  BenchContext context;
-  if (!LoadFile(path, &rows, &context)) return 2;
-  if (require_release && CheckRelease(path, context) != 0) return 1;
-
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  auto parsed = modb::obs::JsonValue::Parse(buf.str());
-  if (!parsed.ok()) return 2;
-  const modb::obs::JsonValue* ctx = parsed->Find("context");
-  const modb::obs::JsonValue* ingest =
-      ctx != nullptr ? ctx->Find("modb_ingest") : nullptr;
-  if (ingest == nullptr) {
-    std::fprintf(stderr,
-                 "bench_compare: %s has no context.modb_ingest block (not "
-                 "a loadgen --ingest export?)\n",
-                 path);
-    return 2;
-  }
-  auto num = [ingest](const char* key) -> double {
-    const modb::obs::JsonValue* v = ingest->Find(key);
-    return v != nullptr ? v->number_value() : 0;
-  };
-  const double accepted = num("fixes_accepted");
-  const double errors = num("errors");
-  const double queries = num("queries_completed");
-  const double fix_rate = num("fix_rate");
-  std::printf(
-      "  ingest   accepted=%.0f errors=%.0f queries=%.0f fix_rate=%.0f/s\n",
-      accepted, errors, queries, fix_rate);
-
-  int failures = 0;
-  if (accepted <= 0) {
-    std::fprintf(stderr,
-                 "bench_compare: ingest gate FAILED: no fix accepted\n");
-    ++failures;
-  }
-  if (errors != 0) {
-    std::fprintf(stderr,
-                 "bench_compare: ingest gate FAILED: %.0f hard errors\n",
-                 errors);
-    ++failures;
-  }
-  const double max_p99_ns = max_p99_ms * 1e6;
-  for (const BenchRow& r : rows) {
-    const std::string suffix = "/p99";
-    if (r.name.size() < suffix.size() ||
-        r.name.compare(r.name.size() - suffix.size(), suffix.size(),
-                       suffix) != 0) {
-      continue;
-    }
-    const bool bad = r.real_time > max_p99_ns;
-    std::printf("  %-8s %-50s %12.0f ns\n", bad ? "SLOW" : "ok",
-                r.name.c_str(), r.real_time);
-    if (bad) {
-      std::fprintf(stderr,
-                   "bench_compare: ingest gate FAILED: %s = %.1f ms exceeds "
-                   "--max-p99-ms=%.0f\n",
-                   r.name.c_str(), r.real_time / 1e6, max_p99_ms);
-      ++failures;
-    }
-  }
-  if (fix_rate < min_fix_rate) {
-    if (context.num_cpus < 4) {
-      std::printf(
-          "bench_compare: WARNING: host has %d CPUs (< 4); fix-rate floor "
-          "skipped — %.0f fixes/s measured, %.0f required on >= 4 cores\n",
-          context.num_cpus, fix_rate, min_fix_rate);
-    } else {
-      std::fprintf(stderr,
-                   "bench_compare: ingest gate FAILED: %.0f fixes/s below "
-                   "the %.0f floor on a %d-CPU host\n",
-                   fix_rate, min_fix_rate, context.num_cpus);
-      ++failures;
-    }
-  }
-  if (failures == 0) {
-    std::printf("bench_compare: ingest gate passed\n");
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-int RunStorageGate(const char* path, double min_ratio,
-                   double min_reader_items, bool require_release) {
+int RunStorageGate(const char* path, bool require_release) {
   std::vector<BenchRow> rows;
   BenchContext context;
   if (!LoadFile(path, &rows, &context)) return 2;
@@ -411,11 +354,11 @@ int RunStorageGate(const char* path, double min_ratio,
   int failures = 0;
   // The warm-scan ratio is single-threaded, so it is honest on any
   // host: no CPU-count skip, this is the hard gate.
-  if (ratio < min_ratio) {
+  if (ratio < kMinRatio) {
     std::fprintf(stderr,
                  "bench_compare: storage gate FAILED: warm mmap scan is only "
                  "%.2fx faster than file (floor %.1fx)\n",
-                 ratio, min_ratio);
+                 ratio, kMinRatio);
     ++failures;
   }
 
@@ -435,25 +378,25 @@ int RunStorageGate(const char* path, double min_ratio,
   }
   std::printf("  storage  %-50s %12.0f items/s\n", readers->name.c_str(),
               readers->items_per_second);
-  if (readers->items_per_second < min_reader_items) {
+  if (readers->items_per_second < kMinReaderItems) {
     if (context.num_cpus < 4) {
       std::printf(
           "bench_compare: WARNING: host has %d CPUs (< 4); pinned-reader "
           "floor skipped — %.0f items/s measured, %.0f required on >= 4 "
           "cores\n",
-          context.num_cpus, readers->items_per_second, min_reader_items);
+          context.num_cpus, readers->items_per_second, kMinReaderItems);
     } else {
       std::fprintf(stderr,
                    "bench_compare: storage gate FAILED: %.0f pinned reads/s "
                    "below the %.0f floor on a %d-CPU host\n",
-                   readers->items_per_second, min_reader_items,
+                   readers->items_per_second, kMinReaderItems,
                    context.num_cpus);
       ++failures;
     }
   }
   if (failures == 0) {
     std::printf("bench_compare: storage gate passed (%.2fx >= %.1fx)\n", ratio,
-                min_ratio);
+                kMinRatio);
   }
   return failures == 0 ? 0 : 1;
 }
@@ -461,73 +404,25 @@ int RunStorageGate(const char* path, double min_ratio,
 }  // namespace
 
 int main(int argc, char** argv) {
-  double threshold = 0.15;
-  double min_speedup = 2.0;
-  double max_p99_ms = 5000;
-  double min_qps = 25;
-  double min_fix_rate = 1000;
-  double min_ratio = 1.5;
-  double min_reader_items = 50000;
+  const LoadGate* load = nullptr;
   bool scaling = false;
-  bool serving = false;
-  bool ingest = false;
   bool storage = false;
   bool require_release = false;
   std::vector<const char*> files;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threshold=", 12) == 0) {
-      threshold = std::atof(argv[i] + 12);
-      if (threshold <= 0) {
-        std::fprintf(stderr, "bench_compare: bad threshold %s\n", argv[i]);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--min-speedup=", 14) == 0) {
-      min_speedup = std::atof(argv[i] + 14);
-      if (min_speedup <= 0) {
-        std::fprintf(stderr, "bench_compare: bad min-speedup %s\n", argv[i]);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--max-p99-ms=", 13) == 0) {
-      max_p99_ms = std::atof(argv[i] + 13);
-      if (max_p99_ms <= 0) {
-        std::fprintf(stderr, "bench_compare: bad max-p99-ms %s\n", argv[i]);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--min-qps=", 10) == 0) {
-      min_qps = std::atof(argv[i] + 10);
-      if (min_qps <= 0) {
-        std::fprintf(stderr, "bench_compare: bad min-qps %s\n", argv[i]);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--min-fix-rate=", 15) == 0) {
-      min_fix_rate = std::atof(argv[i] + 15);
-      if (min_fix_rate <= 0) {
-        std::fprintf(stderr, "bench_compare: bad min-fix-rate %s\n", argv[i]);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--min-ratio=", 12) == 0) {
-      min_ratio = std::atof(argv[i] + 12);
-      if (min_ratio <= 0) {
-        std::fprintf(stderr, "bench_compare: bad min-ratio %s\n", argv[i]);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--min-reader-items=", 19) == 0) {
-      min_reader_items = std::atof(argv[i] + 19);
-      if (min_reader_items <= 0) {
-        std::fprintf(stderr, "bench_compare: bad min-reader-items %s\n",
-                     argv[i]);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--scaling") == 0) {
+    if (std::strcmp(argv[i], "--scaling") == 0) {
       scaling = true;
     } else if (std::strcmp(argv[i], "--serving") == 0) {
-      serving = true;
+      if (load == nullptr) load = &kServingGate;  // --ingest takes precedence
     } else if (std::strcmp(argv[i], "--ingest") == 0) {
-      ingest = true;
+      load = &kIngestGate;
     } else if (std::strcmp(argv[i], "--storage") == 0) {
       storage = true;
     } else if (std::strcmp(argv[i], "--require-release") == 0) {
       require_release = true;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "bench_compare: unknown flag %s\n", argv[i]);
+      return 2;
     } else {
       files.push_back(argv[i]);
     }
@@ -537,44 +432,31 @@ int main(int argc, char** argv) {
     if (files.size() != 1) {
       std::fprintf(stderr,
                    "usage: bench_compare --storage FILE.json "
-                   "[--min-ratio=1.5] [--min-reader-items=50000] "
                    "[--require-release]\n");
       return 2;
     }
-    return RunStorageGate(files[0], min_ratio, min_reader_items,
-                          require_release);
+    return RunStorageGate(files[0], require_release);
   }
 
-  if (ingest) {
+  if (load != nullptr) {
     if (files.size() != 1) {
       std::fprintf(stderr,
-                   "usage: bench_compare --ingest FILE.json "
-                   "[--max-p99-ms=5000] [--min-fix-rate=1000] "
-                   "[--require-release]\n");
+                   "usage: bench_compare --%s FILE.json "
+                   "[--require-release]\n",
+                   load->name);
       return 2;
     }
-    return RunIngestGate(files[0], max_p99_ms, min_fix_rate, require_release);
-  }
-
-  if (serving) {
-    if (files.size() != 1) {
-      std::fprintf(stderr,
-                   "usage: bench_compare --serving FILE.json "
-                   "[--max-p99-ms=5000] [--min-qps=25] "
-                   "[--require-release]\n");
-      return 2;
-    }
-    return RunServingGate(files[0], max_p99_ms, min_qps, require_release);
+    return RunLoadGate(*load, files[0], require_release);
   }
 
   if (scaling) {
     if (files.size() != 1) {
       std::fprintf(stderr,
                    "usage: bench_compare --scaling FILE.json "
-                   "[--min-speedup=2.0] [--require-release]\n");
+                   "[--require-release]\n");
       return 2;
     }
-    return RunScalingGate(files[0], min_speedup, require_release);
+    return RunScalingGate(files[0], require_release);
   }
 
   if (files.size() == 1 && require_release) {
@@ -590,9 +472,8 @@ int main(int argc, char** argv) {
   if (files.size() != 2) {
     std::fprintf(stderr,
                  "usage: bench_compare BASELINE.json CURRENT.json "
-                 "[--threshold=0.15] [--require-release]\n"
-                 "       bench_compare --scaling FILE.json "
-                 "[--min-speedup=2.0]\n"
+                 "[--require-release]\n"
+                 "       bench_compare --scaling FILE.json\n"
                  "       bench_compare --require-release FILE.json\n");
     return 2;
   }
@@ -614,7 +495,7 @@ int main(int argc, char** argv) {
     ++compared;
     const double ratio =
         base->cpu_time > 0 ? cur.cpu_time / base->cpu_time : 1.0;
-    const bool bad = ratio > 1.0 + threshold;
+    const bool bad = ratio > 1.0 + kRegressionThreshold;
     std::printf("  %-8s %-50s %12.0f -> %12.0f ns  (%+.1f%%)\n",
                 bad ? "REGRESS" : "ok", cur.name.c_str(), base->cpu_time,
                 cur.cpu_time, (ratio - 1.0) * 100.0);
@@ -626,6 +507,6 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("bench_compare: %d compared, %d regressed (threshold %+.0f%%)\n",
-              compared, regressions, threshold * 100.0);
+              compared, regressions, kRegressionThreshold * 100.0);
   return regressions == 0 ? 0 : 1;
 }

@@ -35,13 +35,12 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "flags.h"
 #include "serve/net.h"
 
 namespace {
@@ -60,20 +59,8 @@ struct ChaosOptions {
   long truncate_every = 0;
 };
 
-bool ParseInt(const char* arg, const char* flag, long* out) {
-  const std::size_t n = std::strlen(flag);
-  if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=') return false;
-  char* end = nullptr;
-  *out = std::strtol(arg + n + 1, &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseStr(const char* arg, const char* flag, std::string* out) {
-  const std::size_t n = std::strlen(flag);
-  if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
+using modb::tools::ParseInt;
+using modb::tools::ParseStr;
 
 /// One global chunk counter: the fault schedule depends only on the
 /// total order of relayed chunks, so a single-connection workload

@@ -1,68 +1,77 @@
-// loadgen: closed-loop load generator for modbd. N client threads each
-// keep one connection and issue a fixed mixed workload (Q1 select,
-// filtered project, the Q2 index join, atinstant batch, present batch)
-// back to back; per-kind p50/p99 latencies, error counts, and overall
-// throughput land in a google-benchmark-schema JSON that
-// bench_compare --serving gates.
+// loadgen: closed-loop load generator for modbd, and the over-the-wire
+// check of the byte-identity contract (live = bulk, proxied = direct).
+// Every mode runs one Workload:
+//
+//   * a query mix that --clients connections issue back to back;
+//   * ingest batches streamed on one more connection: none, plain, or
+//     keyed (client_id + batch_seq);
+//   * a transport: straight to the server, or through a chaosproxy with
+//     RetryingClient;
+//   * a stop rule: --requests per client, or until ingest finishes.
+//
+// Per-kind p50/p99 latencies, error counts and throughput land in a
+// google-benchmark-schema JSON (--out) that bench_compare --serving or
+// --ingest gates.
+//
+// Serve mode (default): the static mix over the resident "planes"
+// relation (Q1 select, filtered project, the Q2 index join, atinstant
+// batch, present batch), no ingest, direct, --requests per client.
 //
 //   loadgen --port=P [--host=127.0.0.1] [--clients=4] [--requests=32]
 //           [--num-threads=1] [--flights=64] [--seed=99]
 //           [--out=BENCH_serving.json] [--metrics-out=FILE]
-//           [--verify] [--expect-rejections]
+//           [--verify] [--expect-rejections] [--timeout-ms=30000]
 //
 // --verify rebuilds the server's deterministic Db locally (same
 // --flights/--seed) and fails unless every client's reply bytes are
-// identical to each other AND to the locally executed query — the
-// end-to-end determinism check.
+// identical to the locally executed query. --expect-rejections flips the
+// exit criterion for the overload probe: the run must observe at least
+// one typed rejection and no hard errors.
 //
-// --expect-rejections flips the exit criterion for the overload probe:
-// the run must observe at least one typed kResourceExhausted rejection
-// and no hard errors.
-//
-// Ingest mode (the PR-8 closed ingest+query loop):
+// Ingest mode (--ingest): the live mix over --relation (select,
+// atinstant batch, self index join, window aggregate), plain batches,
+// direct, until ingest finishes.
 //
 //   loadgen --ingest --port=P [--relation=fleet] [--objects=16]
 //           [--fixes=4096] [--batch=64] [--clients=2] [--t0=0]
 //           [--seal-units=0] [--out=BENCH_ingest.json] [--verify]
 //
-// One connection streams deterministic per-object random walks (seeded
-// by --seed; dt = 1 starting at --t0) as kMutation batches while
-// --clients concurrent connections query the live relation (select /
-// atinstant batch / self index join / window aggregate) the whole
-// time. --verify then quiesces and replays the identical batches into
-// a local Db, failing unless the server's reply bytes for every query
-// kind are byte-identical to the local ones — the live-path
-// counterpart of the serving determinism check, and the over-the-wire
-// form of the bulk-vs-incremental identity theorem (docs/INGEST.md).
+// The batches are deterministic per-object random walks (seeded by
+// --seed; dt = 1 starting at --t0). --verify then quiesces and replays
+// the identical batches into a local Db, failing unless the server's
+// reply bytes for every query kind equal the local ones: the
+// over-the-wire form of the bulk-vs-incremental identity theorem
+// (docs/INGEST.md).
 //
-// Chaos mode (the hostile-network drill, PROTOCOL.md §9):
+// Chaos mode (--chaos, the hostile-network drill, PROTOCOL.md §9): the
+// live mix and keyed batches through the chaosproxy at --port, until
+// ingest finishes.
 //
 //   loadgen --chaos --port=PROXY_PORT --direct-port=MODBD_PORT
-//           [--relation=fleet] [--objects=16] [--fixes=4096] [--batch=64]
-//           [--clients=2] [--timeout-ms=30000] [--verify]
+//           [ingest mode's flags] [--timeout-ms=30000] [--verify]
 //
-// --port points at a chaosproxy (tools/chaosproxy.cc) in front of the
-// server; --direct-port at the server itself. Keyed ingest batches
-// (client_id + batch_seq) and a concurrent query mix are driven
-// through the proxy with RetryingClient — every delay, stall, reset,
-// and truncation must be absorbed by timeouts + idempotent retries.
-// Afterwards, on the quiesced state: every query kind must be
-// byte-identical via proxy and direct; a few already-acked batches are
-// re-sent verbatim (forcing dedup hits) and must re-ack byte-equal the
-// original acks; the accepted-fix total must equal the fixes sent
-// (exactly-once); and --verify additionally replays the batches once
-// into a local Db and byte-compares the direct replies against it.
+// Every delay, stall, reset and truncation must be absorbed by timeouts
+// and idempotent retries. Afterwards, on the quiesced state: every query
+// kind must be byte-identical via proxy and direct; the newest acked
+// batches are re-sent verbatim and must re-ack byte-equal from the
+// dedup window; the accepted-fix total must equal the fixes sent
+// (exactly-once); and --verify compares the direct replies with the
+// local replay. Control-plane work (register, dedup probes, the final
+// comparisons, /metrics) goes to --direct-port: chaos belongs on the
+// data path under test. No BENCH json unless --out is given.
 //
 // All socket I/O in every mode is bounded by --timeout-ms (typed
 // kDeadlineExceeded instead of a hang when the server stalls).
 //
-// exit 0: no errors (and verification/rejection expectations held).
+// exit 0: no errors, and verification/rejection expectations held.
+// exit 1: an error, or a check failed.
+// exit 2: a bad flag; nothing was connected or started.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -70,6 +79,7 @@
 #include <vector>
 
 #include "db/modb.h"
+#include "flags.h"
 #include "gen/flights_gen.h"
 #include "obs/json.h"
 #include "serve/client.h"
@@ -81,24 +91,34 @@
 
 namespace {
 
-using modb::QueryRequest;
 using modb::FilterSpec;
+using modb::MutationRequest;
+using modb::QueryRequest;
+using modb::serve::Client;
+using modb::serve::RetryingClient;
+
+// A thread per client; more than this is a typo, not a load level.
+constexpr long kMaxClients = 1024;
+// Retry budgets through the proxy. The ingest budget is generous so
+// that only a dead proxy or server fails the run, never injected faults.
+constexpr int kQueryAttempts = 8;
+constexpr int kIngestAttempts = 25;
 
 struct Options {
   std::string host = "127.0.0.1";
   int port = 0;
-  int clients = 4;
-  int requests = 32;  // per client
+  long clients = 4;
+  long requests = 32;  // per client, serve mode
   long num_threads = 1;
   int flights = 64;
   long seed = 99;
-  std::string out = "BENCH_serving.json";
+  std::string out;
   bool out_set = false;
   std::string metrics_out;
   bool verify = false;
   bool expect_rejections = false;
 
-  // Ingest mode.
+  // Ingest and chaos modes.
   bool ingest = false;
   std::string relation = "fleet";
   long objects = 16;
@@ -113,16 +133,20 @@ struct Options {
   long timeout_ms = 30000; // every mode's socket I/O bound
 };
 
-modb::serve::ClientOptions NetOptions(const Options& opt) {
-  modb::serve::ClientOptions c;
-  c.connect_timeout_ms = int(opt.timeout_ms);
-  c.io_timeout_ms = int(opt.timeout_ms);
-  return c;
-}
-
-struct WorkloadKind {
+struct QueryKind {
   const char* name;
   QueryRequest request;
+};
+
+struct Workload {
+  std::vector<QueryKind> kinds;          // the query mix, in issue order
+  std::vector<MutationRequest> batches;  // streamed in order; empty: none
+  int data_port = 0;     // where the clients and the ingest stream go
+  bool proxied = false;  // data_port is a chaosproxy: retry through it
+  int control_port = 0;  // the server itself
+  // The stop rule: a live workload's clients query until ingest
+  // finishes, a static one's issue --requests each.
+  bool live() const { return !batches.empty(); }
 };
 
 std::vector<modb::Instant> EvalInstants() {
@@ -131,10 +155,10 @@ std::vector<modb::Instant> EvalInstants() {
   return ts;
 }
 
-// The fixed workload mix, in issue order. Every request targets the
-// resident "planes" relation modbd builds at startup.
-std::vector<WorkloadKind> Workload(long num_threads) {
-  std::vector<WorkloadKind> kinds;
+// The static mix. Every request targets the resident "planes" relation
+// modbd builds at startup.
+std::vector<QueryKind> PlanesMix() {
+  std::vector<QueryKind> kinds;
   {
     QueryRequest q;  // Q1: airline = Lufthansa AND trajectory length
     q.kind = QueryRequest::Kind::kSelect;
@@ -182,152 +206,13 @@ std::vector<WorkloadKind> Workload(long num_threads) {
     q.instants = EvalInstants();
     kinds.push_back({"present_batch", q});
   }
-  for (WorkloadKind& k : kinds) k.request.num_threads = num_threads;
   return kinds;
 }
 
-struct ClientStats {
-  // One latency vector per workload kind, ns.
-  std::vector<std::vector<std::uint64_t>> latency_ns;
-  // First successful reply's result block per kind (identity checks).
-  std::vector<std::string> first_block;
-  std::uint64_t errors = 0;
-  std::uint64_t rejected = 0;
-  std::string first_error;
-};
-
-void RunClient(const Options& opt, const std::vector<WorkloadKind>& kinds,
-               ClientStats* stats) {
-  stats->latency_ns.resize(kinds.size());
-  stats->first_block.resize(kinds.size());
-  auto note_error = [stats](const std::string& what) {
-    ++stats->errors;
-    if (stats->first_error.empty()) stats->first_error = what;
-  };
-  modb::Result<modb::serve::Client> client =
-      modb::serve::Client::Connect(opt.host, opt.port, NetOptions(opt));
-  if (!client.ok()) {
-    note_error("connect: " + client.status().ToString());
-    return;
-  }
-  for (int r = 0; r < opt.requests; ++r) {
-    const std::size_t k = std::size_t(r) % kinds.size();
-    const auto start = std::chrono::steady_clock::now();
-    modb::Result<modb::serve::Client::Reply> reply =
-        client->Query(kinds[k].request);
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-    if (!reply.ok()) {
-      note_error(std::string(kinds[k].name) + ": transport: " +
-                 reply.status().ToString());
-      return;  // the connection is unusable after a transport error
-    }
-    if (reply->status.code() == modb::StatusCode::kResourceExhausted) {
-      ++stats->rejected;  // typed overload rejection: retryable, not an error
-      continue;
-    }
-    if (!reply->status.ok()) {
-      note_error(std::string(kinds[k].name) + ": " +
-                 reply->status.ToString());
-      continue;
-    }
-    stats->latency_ns[k].push_back(std::uint64_t(ns));
-    if (stats->first_block[k].empty()) {
-      stats->first_block[k] = reply->result_block;
-    }
-  }
-}
-
-std::uint64_t Percentile(std::vector<std::uint64_t> sorted, double p) {
-  if (sorted.empty()) return 0;
-  const std::size_t idx =
-      std::size_t(double(sorted.size() - 1) * p + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
-// Rebuilds the server's Db (same generator parameters) and returns the
-// encoded result block for each workload kind, executed locally.
-bool LocalBlocks(const Options& opt, const std::vector<WorkloadKind>& kinds,
-                 std::vector<std::string>* blocks) {
-  modb::FlightsOptions gen;
-  gen.num_flights = opt.flights;
-  gen.seed = std::uint64_t(opt.seed);
-  modb::Result<modb::Relation> planes = modb::GeneratePlanes(gen);
-  if (!planes.ok()) return false;
-  modb::Db db;
-  if (!db.Register(*std::move(planes)).ok()) return false;
-  if (!db.BuildIndex("planes", "flight").ok()) return false;
-  for (const WorkloadKind& k : kinds) {
-    modb::ExecOptions options;
-    options.parallel.num_threads = int(k.request.num_threads);
-    modb::Result<modb::QueryResult> result = db.Run(k.request, options);
-    if (!result.ok()) {
-      std::fprintf(stderr, "loadgen: local %s failed: %s\n", k.name,
-                   result.status().ToString().c_str());
-      return false;
-    }
-    modb::Result<std::string> block =
-        modb::serve::EncodeResultBlock(*result);
-    if (!block.ok()) return false;
-    blocks->push_back(*std::move(block));
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Ingest mode.
-
-// The deterministic fleet: object o's walk is seeded from (seed, o), dt
-// is 1 starting at --t0, and fixes interleave round-robin across
-// objects so every batch advances the whole fleet. Both the wire path
-// and the local --verify replay call this — identical batches by
-// construction.
-std::vector<modb::MutationRequest> GenBatches(const Options& opt) {
-  const std::size_t n = std::size_t(opt.objects);
-  std::vector<std::uint64_t> rng(n);
-  std::vector<double> px(n), py(n);
-  std::vector<std::string> ids(n);
-  for (std::size_t o = 0; o < n; ++o) {
-    rng[o] = std::uint64_t(opt.seed) * 6364136223846793005ULL +
-             (std::uint64_t(o) + 1) * 1442695040888963407ULL;
-    px[o] = double(o) * 10.0;
-    py[o] = double(o) * -7.0;
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "obj%05zu", o);
-    ids[o] = buf;
-  }
-  auto step = [&rng](std::size_t o) {
-    rng[o] = rng[o] * 6364136223846793005ULL + 1442695040888963407ULL;
-    return double(std::int64_t((rng[o] >> 33) % 2001) - 1000) / 100.0;
-  };
-  std::vector<modb::MutationRequest> batches;
-  modb::MutationRequest cur;
-  cur.kind = modb::MutationRequest::Kind::kIngest;
-  cur.relation = opt.relation;
-  for (long i = 0; i < opt.fixes; ++i) {
-    const std::size_t o = std::size_t(i) % n;
-    const double t = opt.t0 + double(i / long(n));
-    px[o] += step(o);
-    py[o] += step(o);
-    cur.fixes.push_back({ids[o], t, px[o], py[o]});
-    if (long(cur.fixes.size()) >= opt.batch) {
-      batches.push_back(std::move(cur));
-      cur = modb::MutationRequest();
-      cur.kind = modb::MutationRequest::Kind::kIngest;
-      cur.relation = opt.relation;
-    }
-  }
-  if (!cur.fixes.empty()) batches.push_back(std::move(cur));
-  return batches;
-}
-
-// The query mix the concurrent clients loop over while ingest runs.
-// Windows cover the whole fix time range [t0, t0 + steps].
-std::vector<WorkloadKind> LiveWorkload(const Options& opt) {
-  const double steps =
-      opt.objects > 0 ? double(opt.fixes / opt.objects) : 0;
-  std::vector<WorkloadKind> kinds;
+// The live mix. Windows cover the whole fix time range [t0, t0 + steps].
+std::vector<QueryKind> LiveMix(const Options& opt) {
+  const double steps = double(opt.fixes / opt.objects);
+  std::vector<QueryKind> kinds;
   {
     QueryRequest q;  // the whole fleet, ids + trails
     q.kind = QueryRequest::Kind::kSelect;
@@ -367,307 +252,305 @@ std::vector<WorkloadKind> LiveWorkload(const Options& opt) {
     q.window_step = q.window_width / 2;
     kinds.push_back({"live_window", q});
   }
-  for (WorkloadKind& k : kinds) k.request.num_threads = opt.num_threads;
   return kinds;
 }
 
-// Loops the live workload on its own connection until ingest finishes.
-void RunLiveClient(const Options& opt, const std::vector<WorkloadKind>& kinds,
-                   const std::atomic<bool>* done, ClientStats* stats) {
-  stats->latency_ns.resize(kinds.size());
-  stats->first_block.resize(kinds.size());
+// The deterministic fleet: object o's walk is seeded from (seed, o), dt
+// is 1 starting at --t0, and fixes interleave round-robin across
+// objects so every batch advances the whole fleet. Both the wire path
+// and the local replay use these batches, identical by construction.
+std::vector<MutationRequest> GenBatches(const Options& opt) {
+  const std::size_t n = std::size_t(opt.objects);
+  std::vector<std::uint64_t> rng(n);
+  std::vector<double> px(n), py(n);
+  std::vector<std::string> ids(n);
+  for (std::size_t o = 0; o < n; ++o) {
+    rng[o] = std::uint64_t(opt.seed) * 6364136223846793005ULL +
+             (std::uint64_t(o) + 1) * 1442695040888963407ULL;
+    px[o] = double(o) * 10.0;
+    py[o] = double(o) * -7.0;
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "obj%05zu", o);
+    ids[o] = buf;
+  }
+  auto step = [&rng](std::size_t o) {
+    rng[o] = rng[o] * 6364136223846793005ULL + 1442695040888963407ULL;
+    return double(std::int64_t((rng[o] >> 33) % 2001) - 1000) / 100.0;
+  };
+  std::vector<MutationRequest> batches;
+  for (long i = 0; i < opt.fixes; ++i) {
+    if (i % opt.batch == 0) {
+      batches.emplace_back();
+      batches.back().kind = MutationRequest::Kind::kIngest;
+      batches.back().relation = opt.relation;
+    }
+    const std::size_t o = std::size_t(i) % n;
+    const double t = opt.t0 + double(i / long(n));
+    px[o] += step(o);
+    py[o] += step(o);
+    batches.back().fixes.push_back({ids[o], t, px[o], py[o]});
+  }
+  return batches;
+}
+
+Workload MakeWorkload(const Options& opt) {
+  Workload w;
+  w.data_port = opt.port;
+  w.control_port = opt.port;
+  if (!opt.ingest && !opt.chaos) {
+    w.kinds = PlanesMix();
+  } else {
+    w.kinds = LiveMix(opt);
+    w.batches = GenBatches(opt);
+  }
+  for (QueryKind& k : w.kinds) k.request.num_threads = opt.num_threads;
+  if (opt.chaos) {
+    w.proxied = true;
+    w.control_port = opt.direct_port;
+    // The idempotency key is what makes retrying a mutation through a
+    // connection-killing proxy safe.
+    for (std::size_t i = 0; i < w.batches.size(); ++i) {
+      w.batches[i].client_id = "chaos-loadgen";
+      w.batches[i].batch_seq = i + 1;
+    }
+  }
+  return w;
+}
+
+// A connection that tries each request `attempts` times, reconnecting
+// after transport errors and backing off with jitter from `seed`. On
+// the data path straight to the server a request gets one try, so a
+// transport error ends the connection; through the proxy retries absorb
+// the injected faults.
+RetryingClient Connection(const Options& opt, int port, int attempts,
+                          std::uint64_t seed) {
+  modb::serve::ClientOptions net;
+  net.connect_timeout_ms = int(opt.timeout_ms);
+  net.io_timeout_ms = int(opt.timeout_ms);
+  modb::serve::RetryPolicy policy;
+  policy.max_attempts = attempts;
+  policy.base_backoff_ms = 5;
+  policy.max_backoff_ms = 200;
+  policy.jitter_seed = seed;
+  return RetryingClient(opt.host, port, net, policy);
+}
+
+std::uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
+  return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+}
+
+struct ClientStats {
+  // One latency vector per query kind, ns.
+  std::vector<std::vector<std::uint64_t>> latency_ns;
+  // First successful reply's result block per kind (identity checks).
+  std::vector<std::string> first_block;
+  std::uint64_t errors = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t retries = 0;
+  std::string first_error;
+};
+
+// One client: loops over the query mix on its own connection until the
+// stop rule holds. Typed overload or deadline rejections are counted,
+// not errors; a transport error ends the client (the direct connection
+// is unusable, or the proxied one has exhausted its retries).
+void RunClient(const Options& opt, const Workload& w,
+               const std::atomic<bool>& ingest_done, std::uint64_t seed,
+               ClientStats* stats) {
+  stats->latency_ns.resize(w.kinds.size());
+  stats->first_block.resize(w.kinds.size());
   auto note_error = [stats](const std::string& what) {
     ++stats->errors;
     if (stats->first_error.empty()) stats->first_error = what;
   };
-  modb::Result<modb::serve::Client> client =
-      modb::serve::Client::Connect(opt.host, opt.port, NetOptions(opt));
-  if (!client.ok()) {
-    note_error("connect: " + client.status().ToString());
+  RetryingClient conn =
+      Connection(opt, w.data_port, w.proxied ? kQueryAttempts : 1, seed);
+  if (modb::Status s = conn.Connect(); !s.ok()) {
+    note_error("connect: " + s.ToString());
     return;
   }
-  for (std::size_t r = 0; !done->load(std::memory_order_relaxed); ++r) {
-    const std::size_t k = r % kinds.size();
+  for (long r = 0; w.live() ? !ingest_done.load(std::memory_order_relaxed)
+                            : r < opt.requests;
+       ++r) {
+    const std::size_t k = std::size_t(r) % w.kinds.size();
     const auto start = std::chrono::steady_clock::now();
-    modb::Result<modb::serve::Client::Reply> reply =
-        client->Query(kinds[k].request);
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+    modb::Result<Client::Reply> reply = conn.Query(w.kinds[k].request);
+    const std::uint64_t ns = ElapsedNs(start);
     if (!reply.ok()) {
-      note_error(std::string(kinds[k].name) + ": transport: " +
+      note_error(std::string(w.kinds[k].name) + ": transport: " +
                  reply.status().ToString());
-      return;
+      break;
     }
-    if (reply->status.code() == modb::StatusCode::kResourceExhausted) {
+    const modb::StatusCode code = reply->status.code();
+    if (code == modb::StatusCode::kResourceExhausted ||
+        code == modb::StatusCode::kDeadlineExceeded) {
       ++stats->rejected;
       continue;
     }
     if (!reply->status.ok()) {
-      note_error(std::string(kinds[k].name) + ": " +
+      note_error(std::string(w.kinds[k].name) + ": " +
                  reply->status.ToString());
       continue;
     }
-    stats->latency_ns[k].push_back(std::uint64_t(ns));
+    stats->latency_ns[k].push_back(ns);
+    if (stats->first_block[k].empty()) {
+      stats->first_block[k] = reply->result_block;
+    }
   }
+  stats->retries = conn.retries();
 }
 
-int RunIngestMode(const Options& opt) {
-  if (opt.objects < 1 || opt.fixes < 1 || opt.batch < 1) {
-    std::fprintf(stderr,
-                 "loadgen: --objects, --fixes and --batch must be >= 1\n");
-    return 2;
-  }
-  const std::vector<modb::MutationRequest> batches = GenBatches(opt);
-  const std::vector<WorkloadKind> kinds = LiveWorkload(opt);
-
-  modb::Result<modb::serve::Client> ctl =
-      modb::serve::Client::Connect(opt.host, opt.port, NetOptions(opt));
-  if (!ctl.ok()) {
-    std::fprintf(stderr, "loadgen: connect: %s\n",
-                 ctl.status().ToString().c_str());
-    return 1;
-  }
-  {
-    modb::MutationRequest reg;
-    reg.kind = modb::MutationRequest::Kind::kRegisterLive;
-    reg.relation = opt.relation;
-    reg.seal_units = std::uint64_t(opt.seal_units < 0 ? 0 : opt.seal_units);
-    modb::Result<modb::serve::Client::MutationReply> r = ctl->Mutate(reg);
-    if (!r.ok()) {
-      std::fprintf(stderr, "loadgen: register: transport: %s\n",
-                   r.status().ToString().c_str());
-      return 1;
-    }
-    // FailedPrecondition = already registered (modbd --live, or a rerun
-    // against a recovered store) — the ingest target exists either way.
-    if (!r->status.ok() &&
-        r->status.code() != modb::StatusCode::kFailedPrecondition) {
-      std::fprintf(stderr, "loadgen: register: %s\n",
-                   r->status.ToString().c_str());
-      return 1;
-    }
-  }
-
-  std::atomic<bool> done{false};
-  std::vector<ClientStats> qstats(std::size_t(opt.clients));
-  std::vector<std::thread> threads;
-  for (int c = 0; c < opt.clients; ++c) {
-    threads.emplace_back(
-        [&, c] { RunLiveClient(opt, kinds, &done, &qstats[std::size_t(c)]); });
-  }
-
-  // The ingest loop: one batch per round trip, closed loop.
-  std::vector<std::uint64_t> batch_ns;
-  std::uint64_t ingest_errors = 0, accepted = 0;
+struct QueryTotals {
+  std::vector<std::vector<std::uint64_t>> latency_ns;  // per kind, sorted
+  std::vector<std::uint64_t> all;                      // sorted
+  std::uint64_t completed = 0, errors = 0, rejected = 0, retries = 0;
   std::string first_error;
-  modb::MutationResult last_ack;
-  std::uint64_t max_delta = 0;
+};
+
+QueryTotals Merge(const std::vector<ClientStats>& stats, std::size_t kinds) {
+  QueryTotals t;
+  t.latency_ns.resize(kinds);
+  for (const ClientStats& s : stats) {
+    t.errors += s.errors;
+    t.rejected += s.rejected;
+    t.retries += s.retries;
+    if (t.first_error.empty()) t.first_error = s.first_error;
+    for (std::size_t k = 0; k < kinds; ++k) {
+      t.latency_ns[k].insert(t.latency_ns[k].end(), s.latency_ns[k].begin(),
+                             s.latency_ns[k].end());
+    }
+  }
+  for (std::vector<std::uint64_t>& m : t.latency_ns) {
+    std::sort(m.begin(), m.end());
+    t.all.insert(t.all.end(), m.begin(), m.end());
+  }
+  std::sort(t.all.begin(), t.all.end());
+  t.completed = t.all.size();
+  return t;
+}
+
+struct IngestStats {
+  std::vector<std::uint64_t> batch_ns;     // per acked batch, sorted
+  std::vector<modb::MutationResult> acks;  // in batch order
+  std::uint64_t accepted = 0, errors = 0, retries = 0, wall_ns = 0;
+  std::string first_error;
+};
+
+// Streams the batches on one connection, one batch per round trip. A
+// transport error ends the stream; a rejected batch leaves the server
+// untouched, so the stream goes on.
+IngestStats RunIngest(const Options& opt, const Workload& w) {
+  IngestStats in;
+  if (w.batches.empty()) return in;
+  auto note_error = [&in](std::size_t i, const std::string& what) {
+    ++in.errors;
+    if (in.first_error.empty()) {
+      in.first_error = "ingest batch " + std::to_string(i + 1) + ": " + what;
+    }
+  };
+  RetryingClient conn = Connection(opt, w.data_port,
+                                  w.proxied ? kIngestAttempts : 1,
+                                  std::uint64_t(opt.seed));
+  if (modb::Status s = conn.Connect(); !s.ok()) {
+    ++in.errors;
+    in.first_error = "ingest: connect: " + s.ToString();
+    return in;
+  }
   const auto wall_start = std::chrono::steady_clock::now();
-  for (const modb::MutationRequest& b : batches) {
+  for (std::size_t i = 0; i < w.batches.size(); ++i) {
     const auto start = std::chrono::steady_clock::now();
-    modb::Result<modb::serve::Client::MutationReply> r = ctl->Mutate(b);
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+    modb::Result<Client::MutationReply> r = conn.Mutate(w.batches[i]);
+    const std::uint64_t ns = ElapsedNs(start);
     if (!r.ok()) {
-      ++ingest_errors;
-      if (first_error.empty()) {
-        first_error = "ingest: transport: " + r.status().ToString();
-      }
-      break;  // the connection is unusable
+      note_error(i, "transport: " + r.status().ToString());
+      break;
     }
     if (!r->status.ok()) {
-      ++ingest_errors;
-      if (first_error.empty()) {
-        first_error = "ingest: " + r->status.ToString();
-      }
-      continue;  // a rejected batch leaves the server untouched
+      note_error(i, r->status.ToString());
+      continue;
     }
-    batch_ns.push_back(std::uint64_t(ns));
-    accepted += r->ack.accepted;
-    max_delta = std::max(max_delta, r->ack.delta_entries);
-    last_ack = r->ack;
+    in.batch_ns.push_back(ns);
+    in.acks.push_back(r->ack);
+    in.accepted += r->ack.accepted;
   }
-  const std::uint64_t wall_ns =
-      std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - wall_start)
-                        .count());
-  done.store(true, std::memory_order_relaxed);
-  for (std::thread& t : threads) t.join();
-
-  // Merge query-side stats.
-  std::uint64_t qerrors = 0, qrejected = 0, qcompleted = 0;
-  std::vector<std::vector<std::uint64_t>> merged(kinds.size());
-  for (const ClientStats& s : qstats) {
-    qerrors += s.errors;
-    qrejected += s.rejected;
-    if (first_error.empty()) first_error = s.first_error;
-    for (std::size_t k = 0; k < kinds.size(); ++k) {
-      qcompleted += s.latency_ns[k].size();
-      merged[k].insert(merged[k].end(), s.latency_ns[k].begin(),
-                       s.latency_ns[k].end());
-    }
-  }
-  std::vector<std::uint64_t> all;
-  for (std::vector<std::uint64_t>& m : merged) {
-    std::sort(m.begin(), m.end());
-    all.insert(all.end(), m.begin(), m.end());
-  }
-  std::sort(all.begin(), all.end());
-  std::sort(batch_ns.begin(), batch_ns.end());
-  const double fix_rate =
-      wall_ns > 0 ? double(accepted) * 1e9 / double(wall_ns) : 0;
-
-  // Quiesced verification: replay the identical batches into a local
-  // Db, then byte-compare every query kind's result block. Layering on
-  // the server (sealed vs merged vs in-tail) is invisible by the
-  // identity theorem, so no flush is needed — only quiescence.
-  int verify_failures = 0;
-  if (opt.verify) {
-    modb::Db local;
-    modb::ingest::LiveOptions live;
-    if (opt.seal_units > 0) live.seal_units = std::size_t(opt.seal_units);
-    if (!local.RegisterLive(opt.relation, live).ok()) {
-      std::fprintf(stderr, "loadgen: local register failed\n");
-      return 1;
-    }
-    for (const modb::MutationRequest& b : batches) {
-      if (!local.Apply(b).ok()) {
-        std::fprintf(stderr, "loadgen: local replay failed\n");
-        return 1;
-      }
-    }
-    for (const WorkloadKind& k : kinds) {
-      modb::ExecOptions options;
-      options.parallel.num_threads = int(k.request.num_threads);
-      modb::Result<modb::QueryResult> result = local.Run(k.request, options);
-      if (!result.ok()) {
-        std::fprintf(stderr, "loadgen: local %s failed: %s\n", k.name,
-                     result.status().ToString().c_str());
-        return 1;
-      }
-      modb::Result<std::string> block =
-          modb::serve::EncodeResultBlock(*result);
-      if (!block.ok()) return 1;
-      modb::Result<modb::serve::Client::Reply> remote =
-          ctl->Query(k.request);
-      if (!remote.ok() || !remote->status.ok()) {
-        std::fprintf(stderr, "loadgen: VERIFY: remote %s failed\n", k.name);
-        ++verify_failures;
-        continue;
-      }
-      if (remote->result_block != *block) {
-        std::fprintf(stderr,
-                     "loadgen: VERIFY FAILED: %s reply differs from the "
-                     "local replay of the same batches\n",
-                     k.name);
-        ++verify_failures;
-      }
-    }
-    if (verify_failures == 0) {
-      std::printf("loadgen: verify passed: %zu query kinds byte-identical "
-                  "to the local replay\n",
-                  kinds.size());
-    }
-  }
-
-  const std::uint64_t errors = ingest_errors + qerrors;
-  std::printf(
-      "loadgen: ingest %llu/%ld fixes in %zu batches (%.0f fixes/s), "
-      "%llu query ok, %llu rejected, %llu errors, epoch %llu\n",
-      (unsigned long long)accepted, opt.fixes, batches.size(), fix_rate,
-      (unsigned long long)qcompleted, (unsigned long long)qrejected,
-      (unsigned long long)errors, (unsigned long long)last_ack.epoch);
-  if (!first_error.empty()) {
-    std::fprintf(stderr, "loadgen: first error: %s\n", first_error.c_str());
-  }
-
-  if (!opt.out.empty()) {
-    using modb::obs::JsonValue;
-    JsonValue ingest = JsonValue::Object();
-    ingest.Set("objects", JsonValue::Int(std::uint64_t(opt.objects)));
-    ingest.Set("fixes_sent", JsonValue::Int(std::uint64_t(opt.fixes)));
-    ingest.Set("fixes_accepted", JsonValue::Int(accepted));
-    ingest.Set("batches", JsonValue::Int(std::uint64_t(batches.size())));
-    ingest.Set("errors", JsonValue::Int(errors));
-    ingest.Set("rejected", JsonValue::Int(qrejected));
-    ingest.Set("queries_completed", JsonValue::Int(qcompleted));
-    ingest.Set("wall_ns", JsonValue::Int(wall_ns));
-    ingest.Set("fix_rate", JsonValue::Number(fix_rate));
-    ingest.Set("max_delta_entries", JsonValue::Int(max_delta));
-    ingest.Set("final_base_entries", JsonValue::Int(last_ack.base_entries));
-    ingest.Set("final_delta_entries", JsonValue::Int(last_ack.delta_entries));
-    ingest.Set("final_mem_units", JsonValue::Int(last_ack.mem_units));
-    ingest.Set("merges", JsonValue::Int(last_ack.merges));
-    ingest.Set("final_epoch", JsonValue::Int(last_ack.epoch));
-    JsonValue context = JsonValue::Object();
-    context.Set("num_cpus", JsonValue::Int(std::max(
-                                1u, std::thread::hardware_concurrency())));
-    context.Set("modb_build_type", JsonValue::Str(MODB_BUILD_TYPE));
-    context.Set("modb_ingest", std::move(ingest));
-    JsonValue benchmarks = JsonValue::Array();
-    auto add_row = [&benchmarks](const std::string& name, std::uint64_t ns,
-                                 std::uint64_t iterations) {
-      JsonValue row = JsonValue::Object();
-      row.Set("name", JsonValue::Str(name));
-      row.Set("run_type", JsonValue::Str("iteration"));
-      row.Set("iterations", JsonValue::Int(iterations));
-      row.Set("real_time", JsonValue::Int(ns));
-      row.Set("cpu_time", JsonValue::Int(ns));
-      row.Set("time_unit", JsonValue::Str("ns"));
-      benchmarks.Append(std::move(row));
-    };
-    add_row("INGEST_batch/p50", Percentile(batch_ns, 0.50), batch_ns.size());
-    add_row("INGEST_batch/p99", Percentile(batch_ns, 0.99), batch_ns.size());
-    for (std::size_t k = 0; k < kinds.size(); ++k) {
-      const std::string base = std::string("LIVE_") + kinds[k].name;
-      add_row(base + "/p50", Percentile(merged[k], 0.50), merged[k].size());
-      add_row(base + "/p99", Percentile(merged[k], 0.99), merged[k].size());
-    }
-    add_row("LIVE_all/p50", Percentile(all, 0.50), all.size());
-    add_row("LIVE_all/p99", Percentile(all, 0.99), all.size());
-    JsonValue doc = JsonValue::Object();
-    doc.Set("context", std::move(context));
-    doc.Set("benchmarks", std::move(benchmarks));
-    std::ofstream out(opt.out, std::ios::binary | std::ios::trunc);
-    out << doc.Write() << "\n";
-    if (!out) {
-      std::fprintf(stderr, "loadgen: cannot write %s\n", opt.out.c_str());
-      return 1;
-    }
-    std::printf("loadgen: wrote %s\n", opt.out.c_str());
-  }
-
-  if (!opt.metrics_out.empty()) {
-    modb::Result<std::string> metrics =
-        modb::serve::FetchMetricsJson(opt.host, opt.port);
-    if (!metrics.ok()) {
-      std::fprintf(stderr, "loadgen: fetching /metrics: %s\n",
-                   metrics.status().ToString().c_str());
-      return 1;
-    }
-    std::ofstream out(opt.metrics_out, std::ios::binary | std::ios::trunc);
-    out << *metrics;
-    if (!out) {
-      std::fprintf(stderr, "loadgen: cannot write %s\n",
-                   opt.metrics_out.c_str());
-      return 1;
-    }
-    std::printf("loadgen: wrote %s\n", opt.metrics_out.c_str());
-  }
-
-  if (errors != 0) return 1;
-  if (verify_failures != 0) return 1;
-  if (accepted == 0) {
-    std::fprintf(stderr, "loadgen: no fix was accepted\n");
-    return 1;
-  }
-  return 0;
+  in.wall_ns = ElapsedNs(wall_start);
+  in.retries = conn.retries();
+  std::sort(in.batch_ns.begin(), in.batch_ns.end());
+  return in;
 }
 
-// ---------------------------------------------------------------------------
-// Chaos mode.
+// Executes the query mix in-process on the state the server must hold:
+// the planes Db modbd generates from the same --flights and --seed, or
+// ONE application of every batch to an empty live relation. Appends
+// each kind's result block to *blocks.
+bool LocalBlocks(const Options& opt, const Workload& w,
+                 std::vector<std::string>* blocks) {
+  modb::Db db;
+  if (w.live()) {
+    modb::ingest::LiveOptions live;
+    if (opt.seal_units > 0) live.seal_units = std::size_t(opt.seal_units);
+    if (!db.RegisterLive(opt.relation, live).ok()) return false;
+    for (const MutationRequest& b : w.batches) {
+      if (!db.Apply(b).ok()) return false;
+    }
+  } else {
+    modb::FlightsOptions gen;
+    gen.num_flights = opt.flights;
+    gen.seed = std::uint64_t(opt.seed);
+    modb::Result<modb::Relation> planes = modb::GeneratePlanes(gen);
+    if (!planes.ok()) return false;
+    if (!db.Register(*std::move(planes)).ok()) return false;
+    if (!db.BuildIndex("planes", "flight").ok()) return false;
+  }
+  for (const QueryKind& k : w.kinds) {
+    modb::ExecOptions options;
+    options.parallel.num_threads = int(k.request.num_threads);
+    modb::Result<modb::QueryResult> result = db.Run(k.request, options);
+    if (!result.ok()) {
+      std::fprintf(stderr, "loadgen: local %s failed: %s\n", k.name,
+                   result.status().ToString().c_str());
+      return false;
+    }
+    modb::Result<std::string> block = modb::serve::EncodeResultBlock(*result);
+    if (!block.ok()) return false;
+    blocks->push_back(*std::move(block));
+  }
+  return true;
+}
+
+// Fetches every kind's reply on `conn`; an empty block marks a failure.
+std::vector<std::string> FetchBlocks(const Workload& w, RetryingClient& conn,
+                                     const char* path, int* failures) {
+  std::vector<std::string> blocks;
+  for (const QueryKind& k : w.kinds) {
+    modb::Result<Client::Reply> r = conn.Query(k.request);
+    if (!r.ok() || !r->status.ok()) {
+      std::fprintf(stderr, "loadgen: final %s query %s failed\n", k.name,
+                   path);
+      ++*failures;
+      blocks.emplace_back();
+      continue;
+    }
+    blocks.push_back(r->result_block);
+  }
+  return blocks;
+}
+
+// Byte-compares the replies `got` with `want` per kind, skipping kinds
+// that lack a reply on either side. Returns the mismatches.
+int CompareBlocks(const Workload& w, const std::vector<std::string>& got,
+                  const std::vector<std::string>& want, const char* what) {
+  int mismatches = 0;
+  for (std::size_t k = 0; k < w.kinds.size(); ++k) {
+    if (got[k].empty() || want[k].empty() || got[k] == want[k]) continue;
+    std::fprintf(stderr, "loadgen: VERIFY FAILED: %s reply %s\n",
+                 w.kinds[k].name, what);
+    ++mismatches;
+  }
+  return mismatches;
+}
 
 bool SameAck(const modb::MutationResult& a, const modb::MutationResult& b) {
   return a.accepted == b.accepted && a.objects == b.objects &&
@@ -676,93 +559,130 @@ bool SameAck(const modb::MutationResult& a, const modb::MutationResult& b) {
          a.epoch == b.epoch;
 }
 
-// Loops the live query mix through the proxy with retries until ingest
-// finishes. Retryable faults (resets, stalls past the io timeout,
-// overload) are absorbed by RetryingClient; only an exhausted retry
-// budget or a terminal server verdict counts as an error.
-void RunChaosQueryClient(const Options& opt,
-                         const std::vector<WorkloadKind>& kinds,
-                         const std::atomic<bool>* done, std::uint64_t seed,
-                         ClientStats* stats, std::uint64_t* retries) {
-  stats->latency_ns.resize(kinds.size());
-  stats->first_block.resize(kinds.size());
-  modb::serve::RetryPolicy policy;
-  policy.max_attempts = 8;
-  policy.base_backoff_ms = 5;
-  policy.max_backoff_ms = 200;
-  policy.jitter_seed = seed;
-  modb::serve::RetryingClient client(opt.host, opt.port, NetOptions(opt),
-                                     policy);
-  for (std::size_t r = 0; !done->load(std::memory_order_relaxed); ++r) {
-    const std::size_t k = r % kinds.size();
-    modb::Result<modb::serve::Client::Reply> reply =
-        client.Query(kinds[k].request);
-    if (!reply.ok()) {
-      ++stats->errors;
-      if (stats->first_error.empty()) {
-        stats->first_error = std::string(kinds[k].name) +
-                             ": transport (retries exhausted): " +
-                             reply.status().ToString();
-      }
-      break;
-    }
-    if (!reply->status.ok()) {
-      if (reply->status.code() == modb::StatusCode::kResourceExhausted ||
-          reply->status.code() == modb::StatusCode::kDeadlineExceeded) {
-        ++stats->rejected;
-        continue;
-      }
-      ++stats->errors;
-      if (stats->first_error.empty()) {
-        stats->first_error =
-            std::string(kinds[k].name) + ": " + reply->status.ToString();
-      }
-      continue;
-    }
-    stats->latency_ns[k].push_back(0);  // chaos latencies are meaningless
-  }
-  *retries = client.retries();
+std::uint64_t Percentile(const std::vector<std::uint64_t>& sorted, double p) {
+  if (sorted.empty()) return 0;
+  const std::size_t idx =
+      std::size_t(double(sorted.size() - 1) * p + 0.5);
+  return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-int RunChaosMode(const Options& opt) {
-  if (opt.direct_port == 0) {
-    std::fprintf(stderr, "loadgen: --chaos requires --direct-port\n");
-    return 2;
+// Writes the run as google-benchmark-schema JSON: a static workload's
+// summary under context.modb_serving with SERVE_* rows, a live one's
+// under context.modb_ingest with INGEST_batch and LIVE_* rows.
+bool WriteReport(const Options& opt, const Workload& w, const QueryTotals& q,
+                 const IngestStats& in, std::uint64_t wall_ns, double qps,
+                 double fix_rate) {
+  using modb::obs::JsonValue;
+  JsonValue context = JsonValue::Object();
+  context.Set("num_cpus", JsonValue::Int(std::max(
+                              1u, std::thread::hardware_concurrency())));
+  context.Set("modb_build_type", JsonValue::Str(MODB_BUILD_TYPE));
+  JsonValue summary = JsonValue::Object();
+  if (!w.live()) {
+    summary.Set("clients", JsonValue::Int(std::uint64_t(opt.clients)));
+    summary.Set("requests_per_client",
+                JsonValue::Int(std::uint64_t(opt.requests)));
+    summary.Set("completed", JsonValue::Int(q.completed));
+    summary.Set("errors", JsonValue::Int(q.errors));
+    summary.Set("rejected", JsonValue::Int(q.rejected));
+    summary.Set("wall_ns", JsonValue::Int(wall_ns));
+    summary.Set("qps", JsonValue::Number(qps));
+    context.Set("modb_serving", std::move(summary));
+  } else {
+    const modb::MutationResult last =
+        in.acks.empty() ? modb::MutationResult() : in.acks.back();
+    std::uint64_t max_delta = 0;
+    for (const modb::MutationResult& a : in.acks) {
+      max_delta = std::max(max_delta, a.delta_entries);
+    }
+    summary.Set("objects", JsonValue::Int(std::uint64_t(opt.objects)));
+    summary.Set("fixes_sent", JsonValue::Int(std::uint64_t(opt.fixes)));
+    summary.Set("fixes_accepted", JsonValue::Int(in.accepted));
+    summary.Set("batches", JsonValue::Int(std::uint64_t(w.batches.size())));
+    summary.Set("errors", JsonValue::Int(in.errors + q.errors));
+    summary.Set("rejected", JsonValue::Int(q.rejected));
+    summary.Set("queries_completed", JsonValue::Int(q.completed));
+    summary.Set("wall_ns", JsonValue::Int(in.wall_ns));
+    summary.Set("fix_rate", JsonValue::Number(fix_rate));
+    summary.Set("max_delta_entries", JsonValue::Int(max_delta));
+    summary.Set("final_base_entries", JsonValue::Int(last.base_entries));
+    summary.Set("final_delta_entries", JsonValue::Int(last.delta_entries));
+    summary.Set("final_mem_units", JsonValue::Int(last.mem_units));
+    summary.Set("merges", JsonValue::Int(last.merges));
+    summary.Set("final_epoch", JsonValue::Int(last.epoch));
+    context.Set("modb_ingest", std::move(summary));
   }
-  if (opt.objects < 1 || opt.fixes < 1 || opt.batch < 1) {
-    std::fprintf(stderr,
-                 "loadgen: --objects, --fixes and --batch must be >= 1\n");
-    return 2;
+  JsonValue benchmarks = JsonValue::Array();
+  auto add_rows = [&benchmarks](const std::string& name,
+                                const std::vector<std::uint64_t>& sorted) {
+    for (const double p : {0.50, 0.99}) {
+      JsonValue row = JsonValue::Object();
+      const std::uint64_t ns = Percentile(sorted, p);
+      row.Set("name", JsonValue::Str(name + (p < 0.9 ? "/p50" : "/p99")));
+      row.Set("run_type", JsonValue::Str("iteration"));
+      row.Set("iterations", JsonValue::Int(sorted.size()));
+      row.Set("real_time", JsonValue::Int(ns));
+      row.Set("cpu_time", JsonValue::Int(ns));
+      row.Set("time_unit", JsonValue::Str("ns"));
+      benchmarks.Append(std::move(row));
+    }
+  };
+  const std::string prefix = w.live() ? "LIVE_" : "SERVE_";
+  if (w.live()) add_rows("INGEST_batch", in.batch_ns);
+  for (std::size_t k = 0; k < w.kinds.size(); ++k) {
+    add_rows(prefix + w.kinds[k].name, q.latency_ns[k]);
   }
-  // Keyed batches: the idempotency key is what makes retrying a
-  // mutation through a connection-killing proxy safe.
-  std::vector<modb::MutationRequest> batches = GenBatches(opt);
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    batches[i].client_id = "chaos-loadgen";
-    batches[i].batch_seq = i + 1;
+  add_rows(prefix + "all", q.all);
+  JsonValue doc = JsonValue::Object();
+  doc.Set("context", std::move(context));
+  doc.Set("benchmarks", std::move(benchmarks));
+  std::ofstream out(opt.out, std::ios::binary | std::ios::trunc);
+  out << doc.Write() << "\n";
+  if (!out) {
+    std::fprintf(stderr, "loadgen: cannot write %s\n", opt.out.c_str());
+    return false;
   }
-  const std::vector<WorkloadKind> kinds = LiveWorkload(opt);
+  std::printf("loadgen: wrote %s\n", opt.out.c_str());
+  return true;
+}
 
-  // Control-plane work (register, dedup probes, final comparisons)
-  // bypasses the proxy: chaos belongs on the data path under test.
-  modb::Result<modb::serve::Client> ctl = modb::serve::Client::Connect(
-      opt.host, opt.direct_port, NetOptions(opt));
-  if (!ctl.ok()) {
-    std::fprintf(stderr, "loadgen: direct connect: %s\n",
-                 ctl.status().ToString().c_str());
-    return 1;
+// Writes the server's /metrics JSON to --metrics-out.
+bool DumpMetrics(const Options& opt, int port) {
+  modb::Result<std::string> metrics =
+      modb::serve::FetchMetricsJson(opt.host, port, int(opt.timeout_ms));
+  if (!metrics.ok()) {
+    std::fprintf(stderr, "loadgen: fetching /metrics: %s\n",
+                 metrics.status().ToString().c_str());
+    return false;
   }
-  {
-    modb::MutationRequest reg;
-    reg.kind = modb::MutationRequest::Kind::kRegisterLive;
+  std::ofstream out(opt.metrics_out, std::ios::binary | std::ios::trunc);
+  out << *metrics;
+  if (!out) {
+    std::fprintf(stderr, "loadgen: cannot write %s\n",
+                 opt.metrics_out.c_str());
+    return false;
+  }
+  std::printf("loadgen: wrote %s\n", opt.metrics_out.c_str());
+  return true;
+}
+
+int Run(const Options& opt) {
+  const Workload w = MakeWorkload(opt);
+  // Control plane: one try per request, straight to the server.
+  RetryingClient ctl = Connection(opt, w.control_port, 1, 0);
+  if (w.live()) {
+    MutationRequest reg;
+    reg.kind = MutationRequest::Kind::kRegisterLive;
     reg.relation = opt.relation;
     reg.seal_units = std::uint64_t(opt.seal_units < 0 ? 0 : opt.seal_units);
-    modb::Result<modb::serve::Client::MutationReply> r = ctl->Mutate(reg);
+    modb::Result<Client::MutationReply> r = ctl.Mutate(reg);
     if (!r.ok()) {
       std::fprintf(stderr, "loadgen: register: transport: %s\n",
                    r.status().ToString().c_str());
       return 1;
     }
+    // FailedPrecondition = already registered (modbd --live, or a rerun
+    // against a recovered store): the ingest target exists either way.
     if (!r->status.ok() &&
         r->status.code() != modb::StatusCode::kFailedPrecondition) {
       std::fprintf(stderr, "loadgen: register: %s\n",
@@ -771,257 +691,196 @@ int RunChaosMode(const Options& opt) {
     }
   }
 
-  std::atomic<bool> done{false};
-  std::vector<ClientStats> qstats(std::size_t(opt.clients));
-  std::vector<std::uint64_t> qretries(std::size_t(opt.clients), 0);
+  std::atomic<bool> ingest_done{false};
+  std::vector<ClientStats> stats(std::size_t(opt.clients));
+  const auto wall_start = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
-  for (int c = 0; c < opt.clients; ++c) {
+  for (std::size_t c = 0; c < stats.size(); ++c) {
     threads.emplace_back([&, c] {
-      RunChaosQueryClient(opt, kinds, &done,
-                          std::uint64_t(opt.seed) + std::uint64_t(c) + 1,
-                          &qstats[std::size_t(c)], &qretries[std::size_t(c)]);
+      RunClient(opt, w, ingest_done, std::uint64_t(opt.seed) + c + 1,
+                &stats[c]);
     });
   }
-
-  // Keyed ingest through the proxy. The generous attempt budget means
-  // only a dead proxy/server fails the run, never injected faults.
-  modb::serve::RetryPolicy policy;
-  policy.max_attempts = 25;
-  policy.base_backoff_ms = 5;
-  policy.max_backoff_ms = 200;
-  policy.jitter_seed = std::uint64_t(opt.seed);
-  modb::serve::RetryingClient ingest(opt.host, opt.port, NetOptions(opt),
-                                     policy);
-  std::vector<modb::MutationResult> acks;
-  std::uint64_t accepted = 0, ingest_errors = 0;
-  std::string first_error;
-  for (const modb::MutationRequest& b : batches) {
-    modb::Result<modb::serve::Client::MutationReply> r = ingest.Mutate(b);
-    if (!r.ok()) {
-      ++ingest_errors;
-      first_error = "ingest batch " + std::to_string(b.batch_seq) +
-                    ": transport (retries exhausted): " +
-                    r.status().ToString();
-      break;
-    }
-    if (!r->status.ok()) {
-      ++ingest_errors;
-      first_error = "ingest batch " + std::to_string(b.batch_seq) + ": " +
-                    r->status.ToString();
-      break;
-    }
-    acks.push_back(r->ack);
-    accepted += r->ack.accepted;
-  }
-  done.store(true, std::memory_order_relaxed);
+  const IngestStats in = RunIngest(opt, w);
+  ingest_done.store(true, std::memory_order_relaxed);
   for (std::thread& t : threads) t.join();
+  const std::uint64_t wall_ns = ElapsedNs(wall_start);
+  const QueryTotals q = Merge(stats, w.kinds.size());
+  const double qps = wall_ns > 0 ? double(q.completed) * 1e9 / double(wall_ns)
+                                 : 0;
+  const double fix_rate =
+      in.wall_ns > 0 ? double(in.accepted) * 1e9 / double(in.wall_ns) : 0;
 
-  std::uint64_t qerrors = 0, qshed = 0, qok = 0, query_retries = 0;
-  for (std::size_t c = 0; c < qstats.size(); ++c) {
-    qerrors += qstats[c].errors;
-    qshed += qstats[c].rejected;
-    query_retries += qretries[c];
-    if (first_error.empty()) first_error = qstats[c].first_error;
-    for (const std::vector<std::uint64_t>& lat : qstats[c].latency_ns) {
-      qok += lat.size();
-    }
+  // Quiesced checks. Layering on the server (sealed vs merged vs
+  // in-tail) is invisible by the identity theorem, so no flush is
+  // needed, only quiescence.
+  int failures = 0;
+  std::vector<std::string> direct;
+  if (w.live() && (opt.verify || w.proxied)) {
+    direct = FetchBlocks(w, ctl, "direct", &failures);
   }
-
-  // Dedup probe: re-send the NEWEST applied batches verbatim over the
-  // direct path (newest are guaranteed inside the bounded window). The
-  // server must re-ack each from its dedup window — byte-equal the
-  // original ack, applying nothing — which also forces
-  // ingest.dedup_hits > 0 deterministically for the metrics gate.
-  std::size_t probes = 0, probe_failures = 0;
-  if (ingest_errors == 0 && !acks.empty()) {
-    const std::size_t k = std::min<std::size_t>(3, acks.size());
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t i = acks.size() - 1 - j;
-      ++probes;
-      modb::Result<modb::serve::Client::MutationReply> r =
-          ctl->Mutate(batches[i]);
-      if (!r.ok() || !r->status.ok() || !SameAck(r->ack, acks[i])) {
-        std::fprintf(stderr,
-                     "loadgen: CHAOS FAILED: re-sent batch %llu was not "
-                     "re-acked identically from the dedup window\n",
-                     (unsigned long long)batches[i].batch_seq);
-        ++probe_failures;
+  // Every fix sent must be acked once: a dropped or double-applied
+  // batch, or a lost ack counted as delivered, breaks the count.
+  if (w.live() && in.errors == 0 && in.accepted != std::uint64_t(opt.fixes)) {
+    std::fprintf(stderr,
+                 "loadgen: accepted %llu fixes != %ld sent (dropped or "
+                 "double-applied batch)\n",
+                 (unsigned long long)in.accepted, opt.fixes);
+    ++failures;
+  }
+  std::size_t probes = 0;
+  if (w.proxied) {
+    // The proxy must be invisible in the bytes.
+    RetryingClient proxied = Connection(opt, w.data_port, kQueryAttempts,
+                                        std::uint64_t(opt.seed) + 1000);
+    const std::vector<std::string> via_proxy =
+        FetchBlocks(w, proxied, "via proxy", &failures);
+    failures += CompareBlocks(w, via_proxy, direct,
+                              "via proxy differs from the direct reply");
+    // Re-send the NEWEST acked batches verbatim over the direct path
+    // (the newest are sure to be inside the bounded dedup window). The
+    // server must re-ack each byte-equal the original ack, applying
+    // nothing, which also makes ingest.dedup_hits > 0 for the metrics
+    // gate.
+    if (in.errors == 0) {
+      for (std::size_t j = 0; j < std::min<std::size_t>(3, in.acks.size());
+           ++j) {
+        const std::size_t i = in.acks.size() - 1 - j;
+        ++probes;
+        modb::Result<Client::MutationReply> r = ctl.Mutate(w.batches[i]);
+        if (!r.ok() || !r->status.ok() || !SameAck(r->ack, in.acks[i])) {
+          std::fprintf(stderr,
+                       "loadgen: CHAOS FAILED: re-sent batch %llu was not "
+                       "re-acked identically from the dedup window\n",
+                       (unsigned long long)w.batches[i].batch_seq);
+          ++failures;
+        }
       }
     }
-  }
-
-  // Quiesced verification. First law: the proxy must be invisible in
-  // the bytes — every query kind identical via proxy and direct.
-  int verify_failures = 0;
-  modb::serve::RetryPolicy qpolicy;
-  qpolicy.max_attempts = 8;
-  qpolicy.base_backoff_ms = 5;
-  qpolicy.max_backoff_ms = 200;
-  qpolicy.jitter_seed = std::uint64_t(opt.seed) + 1000;
-  modb::serve::RetryingClient proxied(opt.host, opt.port, NetOptions(opt),
-                                      qpolicy);
-  std::vector<std::string> direct_blocks;
-  for (const WorkloadKind& k : kinds) {
-    modb::Result<modb::serve::Client::Reply> d = ctl->Query(k.request);
-    modb::Result<modb::serve::Client::Reply> p = proxied.Query(k.request);
-    if (!d.ok() || !d->status.ok() || !p.ok() || !p->status.ok()) {
-      std::fprintf(stderr, "loadgen: CHAOS: final %s query failed\n", k.name);
-      ++verify_failures;
-      direct_blocks.emplace_back();
-      continue;
+    if (probes == 0) {
+      std::fprintf(stderr, "loadgen: CHAOS FAILED: no dedup re-ack checked\n");
+      ++failures;
     }
-    if (d->result_block != p->result_block) {
-      std::fprintf(stderr,
-                   "loadgen: CHAOS FAILED: %s reply via proxy differs from "
-                   "the direct reply\n",
-                   k.name);
-      ++verify_failures;
-    }
-    direct_blocks.push_back(d->result_block);
   }
-  // Second law (--verify): the server state must equal ONE application
-  // of every batch — a local exactly-once replay, byte-compared. A
-  // double-applied or dropped-but-acked batch diverges here.
-  if (opt.verify && ingest_errors == 0) {
-    modb::Db local;
-    modb::ingest::LiveOptions live;
-    if (opt.seal_units > 0) live.seal_units = std::size_t(opt.seal_units);
-    if (!local.RegisterLive(opt.relation, live).ok()) {
-      std::fprintf(stderr, "loadgen: local register failed\n");
+  if (opt.verify && in.errors == 0) {
+    // The server state must equal the local reference: a double-applied
+    // or dropped-but-acked batch diverges here.
+    std::vector<std::string> local;
+    if (!LocalBlocks(opt, w, &local)) {
+      std::fprintf(stderr, "loadgen: building the local reference failed\n");
       return 1;
     }
-    for (const modb::MutationRequest& b : batches) {
-      if (!local.Apply(b).ok()) {
-        std::fprintf(stderr, "loadgen: local replay failed\n");
-        return 1;
+    // A live workload's replies are comparable only once quiesced; a
+    // static one's are all comparable.
+    const char* what = "differs from the local reference";
+    if (w.live()) {
+      failures += CompareBlocks(w, direct, local, what);
+    } else {
+      for (const ClientStats& s : stats) {
+        failures += CompareBlocks(w, s.first_block, local, what);
       }
     }
-    for (std::size_t k = 0; k < kinds.size(); ++k) {
-      modb::ExecOptions options;
-      options.parallel.num_threads = int(kinds[k].request.num_threads);
-      modb::Result<modb::QueryResult> result =
-          local.Run(kinds[k].request, options);
-      if (!result.ok()) {
-        std::fprintf(stderr, "loadgen: local %s failed: %s\n", kinds[k].name,
-                     result.status().ToString().c_str());
-        return 1;
-      }
-      modb::Result<std::string> block =
-          modb::serve::EncodeResultBlock(*result);
-      if (!block.ok()) return 1;
-      if (direct_blocks[k].empty()) continue;  // already failed above
-      if (direct_blocks[k] != *block) {
-        std::fprintf(stderr,
-                     "loadgen: CHAOS VERIFY FAILED: %s differs from the "
-                     "exactly-once local replay\n",
-                     kinds[k].name);
-        ++verify_failures;
-      }
+    if (failures == 0) {
+      std::printf("loadgen: verify passed: %zu query kinds byte-identical "
+                  "to the local reference\n",
+                  w.kinds.size());
     }
   }
 
-  const bool exactly_once =
-      ingest_errors == 0 && accepted == std::uint64_t(opt.fixes);
-  if (!exactly_once && ingest_errors == 0) {
-    std::fprintf(stderr,
-                 "loadgen: CHAOS FAILED: accepted %llu fixes != %ld sent "
-                 "(dropped or double-applied batch)\n",
-                 (unsigned long long)accepted, opt.fixes);
+  std::printf("loadgen: %ld clients: %llu queries ok, %llu rejected, %llu "
+              "errors, %.1f qps",
+              opt.clients, (unsigned long long)q.completed,
+              (unsigned long long)q.rejected,
+              (unsigned long long)(q.errors + in.errors), qps);
+  if (w.live()) {
+    std::printf("; ingest %llu/%ld fixes in %zu/%zu batches (%.0f "
+                "fixes/s), epoch %llu",
+                (unsigned long long)in.accepted, opt.fixes, in.acks.size(),
+                w.batches.size(), fix_rate,
+                (unsigned long long)(in.acks.empty() ? 0
+                                                     : in.acks.back().epoch));
   }
-
-  std::printf(
-      "loadgen: chaos %llu/%ld fixes in %zu batches via proxy (%llu ingest "
-      "retries, %llu reconnects), %llu queries ok (%llu retries, %llu "
-      "shed), %zu dedup re-acks checked\n",
-      (unsigned long long)accepted, opt.fixes, batches.size(),
-      (unsigned long long)ingest.retries(),
-      (unsigned long long)ingest.reconnects(), (unsigned long long)qok,
-      (unsigned long long)query_retries, (unsigned long long)qshed, probes);
+  if (w.proxied) {
+    std::printf("; via proxy: %llu ingest retries, %llu query retries, "
+                "%zu dedup re-acks checked",
+                (unsigned long long)in.retries,
+                (unsigned long long)q.retries, probes);
+  }
+  std::printf("\n");
+  const std::string& first_error =
+      in.first_error.empty() ? q.first_error : in.first_error;
   if (!first_error.empty()) {
     std::fprintf(stderr, "loadgen: first error: %s\n", first_error.c_str());
   }
 
-  if (!opt.metrics_out.empty()) {
-    modb::Result<std::string> metrics = modb::serve::FetchMetricsJson(
-        opt.host, opt.direct_port, int(opt.timeout_ms));
-    if (!metrics.ok()) {
-      std::fprintf(stderr, "loadgen: fetching /metrics: %s\n",
-                   metrics.status().ToString().c_str());
-      return 1;
-    }
-    std::ofstream out(opt.metrics_out, std::ios::binary | std::ios::trunc);
-    out << *metrics;
-    if (!out) {
-      std::fprintf(stderr, "loadgen: cannot write %s\n",
-                   opt.metrics_out.c_str());
-      return 1;
-    }
-    std::printf("loadgen: wrote %s\n", opt.metrics_out.c_str());
-  }
-
-  if (ingest_errors != 0 || qerrors != 0 || probe_failures != 0 ||
-      verify_failures != 0 || !exactly_once || probes == 0) {
+  if (!opt.out.empty() &&
+      !WriteReport(opt, w, q, in, wall_ns, qps, fix_rate)) {
     return 1;
   }
-  std::printf(
-      "loadgen: chaos verify passed: exactly-once ingest, %zu dedup "
-      "re-acks identical, %zu query kinds byte-identical via proxy, "
-      "direct%s\n",
-      probes, kinds.size(), opt.verify ? ", and local replay" : "");
+  if (!opt.metrics_out.empty() && !DumpMetrics(opt, w.control_port)) {
+    return 1;
+  }
+
+  if (q.errors != 0 || in.errors != 0 || failures != 0) {
+    return 1;
+  }
+  if (opt.expect_rejections && q.rejected == 0) {
+    std::fprintf(stderr,
+                 "loadgen: expected typed rejections under overload, saw "
+                 "none\n");
+    return 1;
+  }
+  if (!w.live() && !opt.expect_rejections && q.completed == 0) {
+    std::fprintf(stderr, "loadgen: no request completed\n");
+    return 1;
+  }
+  if (w.proxied) {
+    std::printf("loadgen: chaos checks passed: exactly-once ingest, %zu "
+                "dedup re-acks identical, %zu query kinds byte-identical via "
+                "proxy and direct\n",
+                probes, w.kinds.size());
+  }
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  using modb::tools::ParseInt;
+  using modb::tools::ParseStr;
   Options opt;
-  auto parse_long = [](const char* arg, const char* flag,
-                       long* out) -> bool {
-    const std::size_t n = std::strlen(flag);
-    if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=') return false;
-    char* end = nullptr;
-    *out = std::strtol(arg + n + 1, &end, 10);
-    return end != nullptr && *end == '\0';
-  };
-  auto parse_str = [](const char* arg, const char* flag,
-                      std::string* out) -> bool {
-    const std::size_t n = std::strlen(flag);
-    if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=') return false;
-    *out = arg + n + 1;
-    return true;
-  };
   for (int i = 1; i < argc; ++i) {
     long v;
-    if (parse_long(argv[i], "--port", &v)) {
+    if (ParseInt(argv[i], "--port", &v)) {
       opt.port = int(v);
-    } else if (parse_long(argv[i], "--clients", &v)) {
-      opt.clients = int(v);
-    } else if (parse_long(argv[i], "--requests", &v)) {
-      opt.requests = int(v);
-    } else if (parse_long(argv[i], "--num-threads", &v)) {
+    } else if (ParseInt(argv[i], "--clients", &v)) {
+      opt.clients = v;
+    } else if (ParseInt(argv[i], "--requests", &v)) {
+      opt.requests = v;
+    } else if (ParseInt(argv[i], "--num-threads", &v)) {
       opt.num_threads = v;
-    } else if (parse_long(argv[i], "--flights", &v)) {
+    } else if (ParseInt(argv[i], "--flights", &v)) {
       opt.flights = int(v);
-    } else if (parse_long(argv[i], "--seed", &v)) {
+    } else if (ParseInt(argv[i], "--seed", &v)) {
       opt.seed = v;
-    } else if (parse_long(argv[i], "--objects", &v)) {
+    } else if (ParseInt(argv[i], "--objects", &v)) {
       opt.objects = v;
-    } else if (parse_long(argv[i], "--fixes", &v)) {
+    } else if (ParseInt(argv[i], "--fixes", &v)) {
       opt.fixes = v;
-    } else if (parse_long(argv[i], "--batch", &v)) {
+    } else if (ParseInt(argv[i], "--batch", &v)) {
       opt.batch = v;
-    } else if (parse_long(argv[i], "--seal-units", &v)) {
+    } else if (ParseInt(argv[i], "--seal-units", &v)) {
       opt.seal_units = v;
-    } else if (parse_long(argv[i], "--t0", &v)) {
+    } else if (ParseInt(argv[i], "--t0", &v)) {
       opt.t0 = double(v);
-    } else if (parse_long(argv[i], "--direct-port", &v)) {
+    } else if (ParseInt(argv[i], "--direct-port", &v)) {
       opt.direct_port = int(v);
-    } else if (parse_long(argv[i], "--timeout-ms", &v)) {
+    } else if (ParseInt(argv[i], "--timeout-ms", &v)) {
       opt.timeout_ms = v;
-    } else if (parse_str(argv[i], "--host", &opt.host) ||
-               parse_str(argv[i], "--relation", &opt.relation) ||
-               parse_str(argv[i], "--metrics-out", &opt.metrics_out)) {
-    } else if (parse_str(argv[i], "--out", &opt.out)) {
+    } else if (ParseStr(argv[i], "--host", &opt.host) ||
+               ParseStr(argv[i], "--relation", &opt.relation) ||
+               ParseStr(argv[i], "--metrics-out", &opt.metrics_out)) {
+    } else if (ParseStr(argv[i], "--out", &opt.out)) {
       opt.out_set = true;
     } else if (std::strcmp(argv[i], "--ingest") == 0) {
       opt.ingest = true;
@@ -1040,161 +899,31 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "loadgen: --port is required\n");
     return 2;
   }
-  if (opt.chaos) {
-    // Not a perf rig — no BENCH json unless explicitly asked for.
-    if (!opt.out_set) opt.out.clear();
-    return RunChaosMode(opt);
+  if (opt.chaos && opt.direct_port == 0) {
+    std::fprintf(stderr, "loadgen: --chaos requires --direct-port\n");
+    return 2;
   }
-  if (opt.ingest) {
-    if (!opt.out_set) opt.out = "BENCH_ingest.json";
-    return RunIngestMode(opt);
-  }
-
-  const std::vector<WorkloadKind> kinds = Workload(opt.num_threads);
-  std::vector<ClientStats> stats(std::size_t(opt.clients));
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (int c = 0; c < opt.clients; ++c) {
-    threads.emplace_back(
-        [&, c] { RunClient(opt, kinds, &stats[std::size_t(c)]); });
-  }
-  for (std::thread& t : threads) t.join();
-  const std::uint64_t wall_ns =
-      std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - wall_start)
-                        .count());
-
-  // Merge.
-  std::uint64_t errors = 0, rejected = 0, completed = 0;
-  std::string first_error;
-  std::vector<std::vector<std::uint64_t>> merged(kinds.size());
-  for (const ClientStats& s : stats) {
-    errors += s.errors;
-    rejected += s.rejected;
-    if (first_error.empty()) first_error = s.first_error;
-    for (std::size_t k = 0; k < kinds.size(); ++k) {
-      completed += s.latency_ns[k].size();
-      merged[k].insert(merged[k].end(), s.latency_ns[k].begin(),
-                       s.latency_ns[k].end());
+  const struct {
+    const char* flag;
+    long value;
+    long max;
+  } bounded[] = {
+      {"--clients", opt.clients, kMaxClients},
+      {"--requests", opt.requests, LONG_MAX},
+      {"--timeout-ms", opt.timeout_ms, INT_MAX},
+      {"--objects", opt.objects, LONG_MAX},
+      {"--fixes", opt.fixes, LONG_MAX},
+      {"--batch", opt.batch, LONG_MAX},
+  };
+  for (const auto& f : bounded) {
+    if (f.value < 1 || f.value > f.max) {
+      std::fprintf(stderr, "loadgen: %s must be in [1, %ld], got %ld\n",
+                   f.flag, f.max, f.value);
+      return 2;
     }
   }
-  std::vector<std::uint64_t> all;
-  for (std::vector<std::uint64_t>& m : merged) {
-    std::sort(m.begin(), m.end());
-    all.insert(all.end(), m.begin(), m.end());
+  if (!opt.out_set && !opt.chaos) {
+    opt.out = opt.ingest ? "BENCH_ingest.json" : "BENCH_serving.json";
   }
-  std::sort(all.begin(), all.end());
-  const double qps =
-      wall_ns > 0 ? double(completed) * 1e9 / double(wall_ns) : 0;
-
-  // Cross-client + local byte identity.
-  int verify_failures = 0;
-  if (opt.verify) {
-    std::vector<std::string> local;
-    if (!LocalBlocks(opt, kinds, &local)) {
-      std::fprintf(stderr, "loadgen: building local reference failed\n");
-      return 1;
-    }
-    for (std::size_t k = 0; k < kinds.size(); ++k) {
-      for (const ClientStats& s : stats) {
-        if (s.first_block[k].empty()) continue;  // no success for this kind
-        if (s.first_block[k] != local[k]) {
-          std::fprintf(stderr,
-                       "loadgen: VERIFY FAILED: %s reply differs from the "
-                       "direct library result\n",
-                       kinds[k].name);
-          ++verify_failures;
-          break;
-        }
-      }
-    }
-  }
-
-  // Report.
-  std::printf("loadgen: %d clients x %d requests: %llu ok, %llu rejected, "
-              "%llu errors, %.1f qps\n",
-              opt.clients, opt.requests, (unsigned long long)completed,
-              (unsigned long long)rejected, (unsigned long long)errors, qps);
-  if (!first_error.empty()) {
-    std::fprintf(stderr, "loadgen: first error: %s\n", first_error.c_str());
-  }
-
-  if (!opt.out.empty()) {
-    using modb::obs::JsonValue;
-    JsonValue serving = JsonValue::Object();
-    serving.Set("clients", JsonValue::Int(std::uint64_t(opt.clients)));
-    serving.Set("requests_per_client",
-                JsonValue::Int(std::uint64_t(opt.requests)));
-    serving.Set("completed", JsonValue::Int(completed));
-    serving.Set("errors", JsonValue::Int(errors));
-    serving.Set("rejected", JsonValue::Int(rejected));
-    serving.Set("wall_ns", JsonValue::Int(wall_ns));
-    serving.Set("qps", JsonValue::Number(qps));
-    JsonValue context = JsonValue::Object();
-    context.Set("num_cpus", JsonValue::Int(std::max(
-                                1u, std::thread::hardware_concurrency())));
-    context.Set("modb_build_type", JsonValue::Str(MODB_BUILD_TYPE));
-    context.Set("modb_serving", std::move(serving));
-    JsonValue benchmarks = JsonValue::Array();
-    auto add_row = [&benchmarks](const std::string& name, std::uint64_t ns,
-                                 std::uint64_t iterations) {
-      JsonValue row = JsonValue::Object();
-      row.Set("name", JsonValue::Str(name));
-      row.Set("run_type", JsonValue::Str("iteration"));
-      row.Set("iterations", JsonValue::Int(iterations));
-      row.Set("real_time", JsonValue::Int(ns));
-      row.Set("cpu_time", JsonValue::Int(ns));
-      row.Set("time_unit", JsonValue::Str("ns"));
-      benchmarks.Append(std::move(row));
-    };
-    for (std::size_t k = 0; k < kinds.size(); ++k) {
-      const std::string base = std::string("SERVE_") + kinds[k].name;
-      add_row(base + "/p50", Percentile(merged[k], 0.50), merged[k].size());
-      add_row(base + "/p99", Percentile(merged[k], 0.99), merged[k].size());
-    }
-    add_row("SERVE_all/p50", Percentile(all, 0.50), all.size());
-    add_row("SERVE_all/p99", Percentile(all, 0.99), all.size());
-    JsonValue doc = JsonValue::Object();
-    doc.Set("context", std::move(context));
-    doc.Set("benchmarks", std::move(benchmarks));
-    std::ofstream out(opt.out, std::ios::binary | std::ios::trunc);
-    out << doc.Write() << "\n";
-    if (!out) {
-      std::fprintf(stderr, "loadgen: cannot write %s\n", opt.out.c_str());
-      return 1;
-    }
-    std::printf("loadgen: wrote %s\n", opt.out.c_str());
-  }
-
-  if (!opt.metrics_out.empty()) {
-    modb::Result<std::string> metrics =
-        modb::serve::FetchMetricsJson(opt.host, opt.port);
-    if (!metrics.ok()) {
-      std::fprintf(stderr, "loadgen: fetching /metrics: %s\n",
-                   metrics.status().ToString().c_str());
-      return 1;
-    }
-    std::ofstream out(opt.metrics_out, std::ios::binary | std::ios::trunc);
-    out << *metrics;
-    if (!out) {
-      std::fprintf(stderr, "loadgen: cannot write %s\n",
-                   opt.metrics_out.c_str());
-      return 1;
-    }
-    std::printf("loadgen: wrote %s\n", opt.metrics_out.c_str());
-  }
-
-  if (errors != 0) return 1;
-  if (verify_failures != 0) return 1;
-  if (opt.expect_rejections && rejected == 0) {
-    std::fprintf(stderr,
-                 "loadgen: expected typed rejections under overload, saw "
-                 "none\n");
-    return 1;
-  }
-  if (!opt.expect_rejections && completed == 0) {
-    std::fprintf(stderr, "loadgen: no request completed\n");
-    return 1;
-  }
-  return 0;
+  return Run(opt);
 }

@@ -36,34 +36,21 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 
 #include "db/modb.h"
+#include "flags.h"
 #include "gen/flights_gen.h"
 #include "serve/server.h"
 #include "storage/recovery.h"
 
 namespace {
 
-bool ParseInt(const char* arg, const char* flag, long* out) {
-  const std::size_t n = std::strlen(flag);
-  if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=') return false;
-  char* end = nullptr;
-  *out = std::strtol(arg + n + 1, &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseStr(const char* arg, const char* flag, std::string* out) {
-  const std::size_t n = std::strlen(flag);
-  if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
+using modb::tools::ParseInt;
+using modb::tools::ParseStr;
 
 bool FileExists(const std::string& path) {
   struct stat st;

@@ -106,8 +106,7 @@ run_perf_smoke() {
     --benchmark_out_format=json
   "$release_dir/tools/json_check" "$out"
   if [ -n "$prev" ]; then
-    "$release_dir/tools/bench_compare" "$prev" "$out" \
-      --threshold=0.15 --require-release
+    "$release_dir/tools/bench_compare" "$prev" "$out" --require-release
     rm -f "$prev"
   else
     "$release_dir/tools/bench_compare" --require-release "$out"
@@ -151,158 +150,14 @@ echo "==== scaling sweep (release build) ===="
 "$release_dir/tools/bench_compare" --scaling BENCH_scaling.json \
   --require-release
 
-# Serving smoke (release build): modbd + loadgen end to end. The load
-# generator re-executes every query against an in-process Db and fails
-# on any byte difference vs the server's result blocks (--verify);
-# json_check and bench_compare --serving gate the recorded latency
-# snapshot (p99 ceiling; the qps floor warn-skips on small CI hosts);
-# the overload probe (1-thread budget, no queue, 2-thread requests)
-# must yield typed rejections only; SIGTERM must drain and exit 0.
+# Serving smoke (release build): modbd, loadgen and chaosproxy end to
+# end (tools/serve_smoke.sh lists its checks): serving --verify, the
+# overload probe, ingest --verify, SIGTERM drain plus recovery, and
+# chaos. It re-records the repo-root BENCH_serving.json and
+# BENCH_ingest.json snapshots, gated by bench_compare --serving/--ingest
+# --require-release. ctest runs the same script at small sizes.
 echo "==== serving smoke (release build) ===="
-cmake --build --preset release -j "$jobs" --target modbd loadgen
-serving_pid=""
-chaos_pid=""
-cleanup_serving() {
-  if [ -n "$serving_pid" ]; then kill "$serving_pid" 2>/dev/null || true; fi
-  if [ -n "$chaos_pid" ]; then kill "$chaos_pid" 2>/dev/null || true; fi
-}
-trap cleanup_serving EXIT
-
-start_modbd() {
-  local log="$1"
-  shift
-  "$release_dir/tools/modbd" "$@" > "$log" &
-  serving_pid=$!
-  modbd_port=""
-  for _ in $(seq 1 100); do
-    modbd_port=$(sed -n 's/^modbd listening on .*:\([0-9][0-9]*\)$/\1/p' "$log")
-    [ -n "$modbd_port" ] && return 0
-    kill -0 "$serving_pid" 2>/dev/null || break
-    sleep 0.1
-  done
-  echo "modbd failed to start:"
-  cat "$log"
-  return 1
-}
-
-start_modbd "$release_dir/modbd.log" --port=0
-"$release_dir/tools/loadgen" --port="$modbd_port" --clients=2 --requests=10 \
-  --verify --out=BENCH_serving.json --metrics-out="$release_dir/metrics.json"
-"$release_dir/tools/json_check" BENCH_serving.json
-"$release_dir/tools/json_check" "$release_dir/metrics.json"
-"$release_dir/tools/bench_compare" --serving BENCH_serving.json \
-  --require-release
-kill -TERM "$serving_pid"
-wait "$serving_pid"  # graceful drain: modbd must exit 0
-serving_pid=""
-
-start_modbd "$release_dir/modbd_overload.log" --port=0 \
-  --thread-budget=1 --queue-capacity=0
-"$release_dir/tools/loadgen" --port="$modbd_port" --clients=4 --requests=10 \
-  --num-threads=2 --expect-rejections \
-  --out="$release_dir/BENCH_serving_overload.json"
-kill -TERM "$serving_pid"
-wait "$serving_pid"
-serving_pid=""
-
-# Ingest smoke (release build): the PR-8 closed ingest+query loop.
-# modbd hosts a store-backed live relation; loadgen streams
-# deterministic fixes while concurrent clients query it, then replays
-# the identical batches into a local Db and byte-compares every query
-# kind (--verify). The recorded BENCH_ingest.json is gated like the
-# serving snapshot. Then the crash-consistency drill: SIGTERM lands
-# mid-ingest (the drain seals and commits a final epoch — loadgen's
-# severed connection is expected, hence || true), modbd must still exit
-# 0, and a restart on the same store must print the recovered epoch.
-echo "==== ingest smoke (release build) ===="
-fleet_store="$release_dir/fleet.store"
-rm -f "$fleet_store"
-start_modbd "$release_dir/modbd_ingest.log" --port=0 \
-  --live=fleet --store="$fleet_store" --merge-interval-ms=100
-"$release_dir/tools/loadgen" --ingest --port="$modbd_port" \
-  --objects=8 --fixes=2048 --batch=32 --clients=2 --verify \
-  --out=BENCH_ingest.json
-"$release_dir/tools/json_check" BENCH_ingest.json
-"$release_dir/tools/bench_compare" --ingest BENCH_ingest.json \
-  --require-release
-kill -TERM "$serving_pid"
-wait "$serving_pid"
-serving_pid=""
-
-start_modbd "$release_dir/modbd_drain.log" --port=0 \
-  --live=fleet --store="$fleet_store" --merge-interval-ms=100
-grep -q "modbd recovered epoch" "$release_dir/modbd_drain.log" || {
-  echo "modbd did not recover the ingest store:"
-  cat "$release_dir/modbd_drain.log"
-  exit 1
-}
-"$release_dir/tools/loadgen" --ingest --port="$modbd_port" \
-  --objects=8 --fixes=65536 --batch=16 --clients=1 --t0=10000 \
-  --out="$release_dir/BENCH_ingest_drain.json" &
-loadgen_pid=$!
-sleep 0.7  # let the ingest stream get going, then cut it mid-flight
-kill -TERM "$serving_pid"
-wait "$serving_pid"  # the drain must still exit 0
-serving_pid=""
-wait "$loadgen_pid" || true  # severed mid-ingest: failure is expected
-start_modbd "$release_dir/modbd_recover.log" --port=0 \
-  --live=fleet --store="$fleet_store"
-grep -q "modbd recovered epoch" "$release_dir/modbd_recover.log" || {
-  echo "modbd did not recover after the mid-ingest drain:"
-  cat "$release_dir/modbd_recover.log"
-  exit 1
-}
-kill -TERM "$serving_pid"
-wait "$serving_pid"
-serving_pid=""
-rm -f "$fleet_store"
-
-# Chaos smoke (release build): the same closed ingest+query loop, but
-# through tools/chaosproxy — a deterministic seeded TCP proxy injecting
-# mid-frame stalls and connection resets. loadgen --chaos retries with
-# idempotency keys, re-sends acked batches to force dedup re-acks, and
-# --verify asserts exactly-once ingest plus byte-identical replies vs
-# the direct (unproxied) path and a local replay. The metrics JSON must
-# show the dedup window actually absorbing duplicates.
-echo "==== chaos smoke (release build) ===="
-cmake --build --preset release -j "$jobs" --target chaosproxy
-chaos_store="$release_dir/chaos_fleet.store"
-rm -f "$chaos_store"
-start_modbd "$release_dir/modbd_chaos.log" --port=0 \
-  --live=fleet --store="$chaos_store" --merge-interval-ms=100
-"$release_dir/tools/chaosproxy" --target-port="$modbd_port" --seed=42 \
-  --stall-every=17 --reset-every=97 > "$release_dir/chaosproxy.log" &
-chaos_pid=$!
-chaos_port=""
-for _ in $(seq 1 100); do
-  chaos_port=$(sed -n 's/^chaosproxy listening on .*:\([0-9][0-9]*\)$/\1/p' \
-    "$release_dir/chaosproxy.log")
-  [ -n "$chaos_port" ] && break
-  kill -0 "$chaos_pid" 2>/dev/null || break
-  sleep 0.1
-done
-if [ -z "$chaos_port" ]; then
-  echo "chaosproxy failed to start:"
-  cat "$release_dir/chaosproxy.log"
-  exit 1
-fi
-"$release_dir/tools/loadgen" --chaos --port="$chaos_port" \
-  --direct-port="$modbd_port" --objects=8 --fixes=1024 --batch=32 \
-  --clients=2 --verify --metrics-out="$release_dir/chaos_metrics.json"
-"$release_dir/tools/json_check" "$release_dir/chaos_metrics.json"
-dedup_hits=$(sed -n 's/.*"ingest\.dedup_hits": *\([0-9][0-9]*\).*/\1/p' \
-  "$release_dir/chaos_metrics.json")
-if [ -z "$dedup_hits" ] || [ "$dedup_hits" -eq 0 ]; then
-  echo "chaos smoke: expected ingest.dedup_hits > 0, got '${dedup_hits:-absent}'"
-  exit 1
-fi
-kill "$chaos_pid"
-wait "$chaos_pid" || true
-chaos_pid=""
-kill -TERM "$serving_pid"
-wait "$serving_pid"
-serving_pid=""
-rm -f "$chaos_store"
-trap - EXIT
+cmake --build --preset release -j "$jobs" --target modbd loadgen chaosproxy
+tools/serve_smoke.sh "$release_dir" . full
 
 echo "==== all presets green: ${presets[*]} ===="
