@@ -1,13 +1,15 @@
 // Experiments Q1/Q2 (Section 2): the two example queries on the planes
 // relation, plus the D4 ablation (unit bounding cubes + R-tree for the
 // spatio-temporal join), per-period window aggregates over the fleet as
-// a function of the window count, and the two batch query kinds.
+// a function of the window count, the two batch query kinds, and the
+// wire codec's result blocks for those replies.
 
 #include <benchmark/benchmark.h>
 
 #include "db/modb.h"
 #include "db/query.h"
 #include "gen/flights_gen.h"
+#include "serve/wire.h"
 #include "temporal/lifted_ops.h"
 
 namespace modb {
@@ -215,6 +217,78 @@ BENCHMARK_CAPTURE(BM_BatchKinds_Db, atinstant,
 BENCHMARK_CAPTURE(BM_BatchKinds_Db, present, QueryRequest::Kind::kPresentBatch,
                   64)
     ->Unit(benchmark::kMicrosecond);
+
+// The result blocks of the analytic_scan replies, as the wire codec
+// moves them: the Q2 distinct-pair join (rows: 2 airline + 2 id
+// strings and 2 mpoints per pair), the atinstant grid (xy) and the
+// present grid (present) at 49 instants, over 64, 256 and 1024 flights.
+// The 1024-flight rows block is the Q2 join reply (~4.6 MB).
+Result<QueryResult> ReplyResult(QueryRequest::Kind kind, int flights) {
+  Db db;
+  MODB_RETURN_IF_ERROR(db.Register(Planes(flights)));
+  MODB_RETURN_IF_ERROR(db.BuildIndex("planes", "flight"));
+  QueryRequest q;
+  q.kind = kind;
+  q.relation = "planes";
+  q.attr = "flight";
+  q.join_relation = "planes";
+  q.join_attr = "flight";
+  q.distance = 50;
+  q.distinct_pairs = true;
+  if (kind != QueryRequest::Kind::kIndexJoin) {
+    for (int i = 0; i <= 48; ++i) q.instants.push_back(0.25 + 0.5 * i);
+  }
+  return db.Run(q);
+}
+
+void BM_EncodeResultBlock(benchmark::State& state, QueryRequest::Kind kind) {
+  Result<QueryResult> result = ReplyResult(kind, int(state.range(0)));
+  if (!result.ok()) {
+    state.SkipWithError(result.status().ToString().c_str());
+    return;
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    Result<std::string> block = serve::EncodeResultBlock(*result);
+    if (!block.ok()) {
+      state.SkipWithError(block.status().ToString().c_str());
+      return;
+    }
+    bytes = block->size();
+    benchmark::DoNotOptimize(block);
+  }
+  state.SetBytesProcessed(std::int64_t(state.iterations() * bytes));
+}
+
+void BM_DecodeResultBlock(benchmark::State& state, QueryRequest::Kind kind) {
+  Result<QueryResult> result = ReplyResult(kind, int(state.range(0)));
+  Result<std::string> block =
+      result.ok() ? serve::EncodeResultBlock(*result) : result.status();
+  if (!block.ok()) {
+    state.SkipWithError(block.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    Result<QueryResult> back = serve::DecodeResultBlock(*block);
+    if (!back.ok()) {
+      state.SkipWithError(back.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(back);
+  }
+  state.SetBytesProcessed(std::int64_t(state.iterations() * block->size()));
+}
+
+#define MODB_CODEC_BENCH(fn, name, kind)                              \
+  BENCHMARK_CAPTURE(fn, name, QueryRequest::Kind::kind)->Arg(64)->Arg(256) \
+      ->Arg(1024)->Unit(benchmark::kMicrosecond)
+MODB_CODEC_BENCH(BM_EncodeResultBlock, rows, kIndexJoin);
+MODB_CODEC_BENCH(BM_EncodeResultBlock, xy, kAtInstantBatch);
+MODB_CODEC_BENCH(BM_EncodeResultBlock, present, kPresentBatch);
+MODB_CODEC_BENCH(BM_DecodeResultBlock, rows, kIndexJoin);
+MODB_CODEC_BENCH(BM_DecodeResultBlock, xy, kAtInstantBatch);
+MODB_CODEC_BENCH(BM_DecodeResultBlock, present, kPresentBatch);
+#undef MODB_CODEC_BENCH
 
 }  // namespace
 }  // namespace modb

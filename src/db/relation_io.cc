@@ -10,114 +10,16 @@ namespace {
 
 constexpr uint32_t kRelationMagic = 0x4d4f4452;  // "MODR".
 
-Result<FlatValue> AttributeToFlat(const AttributeValue& value) {
-  switch (TypeOf(value)) {
-    case AttributeType::kInt:
-      return ToFlat(std::get<IntValue>(value));
-    case AttributeType::kReal:
-      return ToFlat(std::get<RealValue>(value));
-    case AttributeType::kBool:
-      return ToFlat(std::get<BoolValue>(value));
-    case AttributeType::kString:
-      return ToFlat(std::get<StringValue>(value));
-    case AttributeType::kPoint:
-      return ToFlat(std::get<Point>(value));
-    case AttributeType::kPoints:
-      return ToFlat(std::get<Points>(value));
-    case AttributeType::kLine:
-      return ToFlat(std::get<Line>(value));
-    case AttributeType::kRegion:
-      return ToFlat(std::get<Region>(value));
-    case AttributeType::kPeriods:
-      return ToFlat(std::get<Periods>(value));
-    case AttributeType::kMovingBool:
-      return ToFlat(std::get<MovingBool>(value));
-    case AttributeType::kMovingInt:
-      return ToFlat(std::get<MovingInt>(value));
-    case AttributeType::kMovingString:
-      return ToFlat(std::get<MovingString>(value));
-    case AttributeType::kMovingReal:
-      return ToFlat(std::get<MovingReal>(value));
-    case AttributeType::kMovingPoint:
-      return ToFlat(std::get<MovingPoint>(value));
-    case AttributeType::kMovingPoints:
-      return ToFlat(std::get<MovingPoints>(value));
-    case AttributeType::kMovingLine:
-      return ToFlat(std::get<MovingLine>(value));
-    case AttributeType::kMovingRegion:
-      return ToFlat(std::get<MovingRegion>(value));
-  }
-  return Status::Internal("unknown attribute type");
-}
-
-Result<AttributeValue> AttributeFromFlat(AttributeType type,
-                                         const FlatValue& flat) {
-  auto wrap = [](auto result) -> Result<AttributeValue> {
-    if (!result.ok()) return result.status();
-    return AttributeValue(std::move(*result));
-  };
-  switch (type) {
-    case AttributeType::kInt:
-      return wrap(IntFromFlat(flat));
-    case AttributeType::kReal:
-      return wrap(RealFromFlat(flat));
-    case AttributeType::kBool:
-      return wrap(BoolFromFlat(flat));
-    case AttributeType::kString:
-      return wrap(StringFromFlat(flat));
-    case AttributeType::kPoint:
-      return wrap(PointFromFlat(flat));
-    case AttributeType::kPoints:
-      return wrap(PointsFromFlat(flat));
-    case AttributeType::kLine:
-      return wrap(LineFromFlat(flat));
-    case AttributeType::kRegion:
-      return wrap(RegionFromFlat(flat));
-    case AttributeType::kPeriods:
-      return wrap(PeriodsFromFlat(flat));
-    case AttributeType::kMovingBool:
-      return wrap(MovingBoolFromFlat(flat));
-    case AttributeType::kMovingInt:
-      return wrap(MovingIntFromFlat(flat));
-    case AttributeType::kMovingString:
-      return wrap(MovingStringFromFlat(flat));
-    case AttributeType::kMovingReal:
-      return wrap(MovingRealFromFlat(flat));
-    case AttributeType::kMovingPoint:
-      return wrap(MovingPointFromFlat(flat));
-    case AttributeType::kMovingPoints:
-      return wrap(MovingPointsFromFlat(flat));
-    case AttributeType::kMovingLine:
-      return wrap(MovingLineFromFlat(flat));
-    case AttributeType::kMovingRegion:
-      return wrap(MovingRegionFromFlat(flat));
-  }
-  return Status::InvalidArgument("unknown attribute type tag");
-}
-
 }  // namespace
 
 Result<std::string> SerializeAttribute(const AttributeValue& value) {
-  Result<FlatValue> flat = AttributeToFlat(value);
-  if (!flat.ok()) return flat.status();
-  ByteWriter w;
-  w.PutU8(uint8_t(TypeOf(value)));
-  w.PutBytes(SerializeFlat(*flat));
-  return w.Take();
+  std::string out;
+  MODB_RETURN_IF_ERROR(AppendAttribute(&out, value));
+  return out;
 }
 
 Result<AttributeValue> DeserializeAttribute(std::string_view blob) {
-  ByteReader r(blob);
-  uint8_t tag;
-  MODB_RETURN_IF_ERROR(r.GetU8(&tag));
-  if (tag > uint8_t(AttributeType::kMovingRegion)) {
-    return Status::InvalidArgument("bad attribute type tag");
-  }
-  std::string rest;
-  MODB_RETURN_IF_ERROR(r.GetBytes(r.Remaining(), &rest));
-  Result<FlatValue> flat = ParseFlat(rest);
-  if (!flat.ok()) return flat.status();
-  return AttributeFromFlat(AttributeType(tag), *flat);
+  return ParseAttribute(blob);
 }
 
 Status SaveRelation(const Relation& rel, const std::string& path) {
@@ -187,9 +89,9 @@ Result<Relation> LoadRelation(const std::string& path) {
     for (uint32_t a = 0; a < num_attrs; ++a) {
       uint32_t len;
       MODB_RETURN_IF_ERROR(r.GetU32(&len));
-      std::string blob;
-      MODB_RETURN_IF_ERROR(r.GetBytes(len, &blob));
-      Result<AttributeValue> v = DeserializeAttribute(blob);
+      std::string_view blob;
+      MODB_RETURN_IF_ERROR(r.GetView(len, &blob));
+      Result<AttributeValue> v = ParseAttribute(blob);
       if (!v.ok()) return v.status();
       tuple.push_back(std::move(*v));
     }

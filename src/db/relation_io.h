@@ -15,10 +15,11 @@
 
 namespace modb {
 
-/// Serializes one attribute value (type tag + flat blob).
+/// Serializes one attribute value (type tag + flat blob): AppendAttribute
+/// (storage/flat.h) into a fresh string.
 Result<std::string> SerializeAttribute(const AttributeValue& value);
 
-/// Inverse of SerializeAttribute.
+/// Inverse of SerializeAttribute: ParseAttribute (storage/flat.h).
 Result<AttributeValue> DeserializeAttribute(std::string_view blob);
 
 /// Writes the relation (name, schema, tuples) to a file.

@@ -61,12 +61,19 @@ Result<Client::Reply> Client::Query(const QueryRequest& req) {
     Result<QueryResult> result = DecodeResultBlock(wire->result_block);
     MODB_RETURN_IF_ERROR(result.status());
     reply.result = *std::move(result);
-    reply.result_block = std::move(wire->result_block);
     if (!wire->stats_json.empty()) {
       Result<ExecStats> stats = ExecStats::FromJson(wire->stats_json);
       MODB_RETURN_IF_ERROR(stats.status());
       reply.result.stats = *std::move(stats);
     }
+    // Keep the raw block by cutting it out of the frame payload in
+    // place rather than copying it into a second buffer.
+    std::string& payload = (*frame)->payload;
+    const std::size_t begin =
+        std::size_t(wire->result_block.data() - payload.data());
+    payload.resize(begin + wire->result_block.size());
+    payload.erase(0, begin);
+    reply.result_block = std::move(payload);
   }
   return reply;
 }

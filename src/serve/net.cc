@@ -6,8 +6,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -224,23 +226,6 @@ Status ReadFull(int fd, void* buf, std::size_t n) {
   return Status::OK();
 }
 
-Status WriteFull(int fd, const void* buf, std::size_t n) {
-  const char* p = static_cast<const char*>(buf);
-  std::size_t sent = 0;
-  while (sent < n) {
-    // MSG_NOSIGNAL: a peer that closed mid-reply must surface as an
-    // EPIPE status on this one connection, not a SIGPIPE that kills
-    // the whole server.
-    const ssize_t w = ::send(fd, p + sent, n - sent, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Errno("write");
-    }
-    sent += std::size_t(w);
-  }
-  return Status::OK();
-}
-
 Result<bool> ReadFullOrEofTimeout(int fd, void* buf, std::size_t n,
                                   int timeout_ms) {
   const IoDeadline dl = DeadlineIn(timeout_ms);
@@ -277,23 +262,61 @@ Status ReadFullTimeout(int fd, void* buf, std::size_t n, int timeout_ms) {
   return Status::OK();
 }
 
-Status WriteFullTimeout(int fd, const void* buf, std::size_t n,
-                        int timeout_ms) {
+namespace {
+
+// Sends every byte of iov[0..iovcnt) with sendmsg. MSG_NOSIGNAL: a peer
+// that closed mid-reply must surface as an EPIPE status on this one
+// connection, not a SIGPIPE that kills the whole server. A bounded
+// deadline covers the whole write (polled before every send); an
+// unbounded one blocks in send.
+Status SendAll(int fd, iovec* iov, int iovcnt, int timeout_ms) {
   const IoDeadline dl = DeadlineIn(timeout_ms);
-  const char* p = static_cast<const char*>(buf);
+  std::size_t total = 0;
+  for (int i = 0; i < iovcnt; ++i) total += iov[i].iov_len;
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = std::size_t(iovcnt);
   std::size_t sent = 0;
-  while (sent < n) {
-    MODB_RETURN_IF_ERROR(AwaitFd(fd, POLLOUT, dl, "write", sent, n));
-    const ssize_t w = ::send(fd, p + sent, n - sent, MSG_NOSIGNAL);
+  while (sent < total) {
+    if (dl.bounded) {
+      MODB_RETURN_IF_ERROR(AwaitFd(fd, POLLOUT, dl, "write", sent, total));
+    }
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
+      // EAGAIN: poll readiness can be spurious (or the fd is
+      // non-blocking); a bounded write just waits again.
+      if (errno == EINTR ||
+          (dl.bounded && (errno == EAGAIN || errno == EWOULDBLOCK))) {
         continue;
       }
       return Errno("write");
     }
     sent += std::size_t(w);
+    // Drop what went out from the front of the iovec list.
+    for (std::size_t done = std::size_t(w); done > 0;) {
+      const std::size_t step = std::min(done, msg.msg_iov->iov_len);
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + step;
+      msg.msg_iov->iov_len -= step;
+      done -= step;
+      if (msg.msg_iov->iov_len == 0) {
+        ++msg.msg_iov;
+        --msg.msg_iovlen;
+      }
+    }
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status WriteFull(int fd, const void* buf, std::size_t n) {
+  return WriteFullTimeout(fd, buf, n, -1);
+}
+
+Status WriteFullTimeout(int fd, const void* buf, std::size_t n,
+                        int timeout_ms) {
+  iovec iov{const_cast<void*>(buf), n};
+  return SendAll(fd, &iov, 1, timeout_ms);
 }
 
 void ShutdownFd(int fd) {
@@ -308,33 +331,23 @@ void CloseFd(int fd) {
   if (fd >= 0) ::close(fd);
 }
 
-namespace {
+Status WriteFrame(int fd, FrameType type, std::string_view payload) {
+  return WriteFrameTimeout(fd, type, payload, -1);
+}
 
-Status SealFrame(FrameType type, std::string_view payload, std::string* msg) {
+Status WriteFrameTimeout(int fd, FrameType type, std::string_view payload,
+                         int timeout_ms) {
   if (payload.size() > kMaxFramePayload) {
     return Status::InvalidArgument(
         "frame payload of " + std::to_string(payload.size()) +
         " bytes exceeds the " + std::to_string(kMaxFramePayload) +
         "-byte cap");
   }
-  *msg = EncodeFrameHeader(type, std::uint32_t(payload.size()));
-  msg->append(payload.data(), payload.size());
-  return Status::OK();
-}
-
-}  // namespace
-
-Status WriteFrame(int fd, FrameType type, std::string_view payload) {
-  std::string msg;
-  MODB_RETURN_IF_ERROR(SealFrame(type, payload, &msg));
-  return WriteFull(fd, msg.data(), msg.size());
-}
-
-Status WriteFrameTimeout(int fd, FrameType type, std::string_view payload,
-                         int timeout_ms) {
-  std::string msg;
-  MODB_RETURN_IF_ERROR(SealFrame(type, payload, &msg));
-  return WriteFullTimeout(fd, msg.data(), msg.size(), timeout_ms);
+  // Header and payload leave in one sendmsg: no concatenated copy.
+  std::string header = EncodeFrameHeader(type, std::uint32_t(payload.size()));
+  iovec iov[2] = {{header.data(), header.size()},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  return SendAll(fd, iov, 2, timeout_ms);
 }
 
 Result<std::optional<Frame>> ReadFrame(int fd) {

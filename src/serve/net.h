@@ -63,8 +63,9 @@ void ShutdownFd(int fd);
 void ShutdownReadFd(int fd);
 void CloseFd(int fd);
 
-/// Writes one frame (header + payload). The payload must fit the frame
-/// cap.
+/// Writes one frame: the header and the payload leave in one sendmsg
+/// over two iovecs, with no concatenated copy. The payload must fit the
+/// frame cap.
 Status WriteFrame(int fd, FrameType type, std::string_view payload);
 /// Deadline-bounded WriteFrame (semantics as WriteFullTimeout).
 Status WriteFrameTimeout(int fd, FrameType type, std::string_view payload,

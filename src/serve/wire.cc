@@ -1,11 +1,13 @@
 #include "serve/wire.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <utility>
 #include <vector>
 
-#include "db/relation_io.h"
 #include "obs/exec_stats.h"
+#include "storage/flat.h"
 
 namespace modb {
 namespace serve {
@@ -27,6 +29,9 @@ constexpr std::uint8_t kMaxAttributeType =
 /// QueryResult::Payload range, so DecodeResultBlock rejects it.
 constexpr std::uint8_t kAckBlockKind = 3;
 
+static_assert(std::endian::native == std::endian::little,
+              "wire primitives are little-endian byte copies");
+
 }  // namespace
 
 std::string EncodeFrameHeader(FrameType type, std::uint32_t payload_len) {
@@ -34,12 +39,7 @@ std::string EncodeFrameHeader(FrameType type, std::uint32_t payload_len) {
   std::memcpy(h.data(), kMagic, 4);
   h[4] = char(kWireVersion);
   h[5] = char(std::uint8_t(type));
-  h[6] = 0;
-  h[7] = 0;
-  h[8] = char(payload_len & 0xff);
-  h[9] = char((payload_len >> 8) & 0xff);
-  h[10] = char((payload_len >> 16) & 0xff);
-  h[11] = char((payload_len >> 24) & 0xff);
+  std::memcpy(h.data() + 8, &payload_len, sizeof payload_len);
   return h;
 }
 
@@ -69,10 +69,8 @@ Result<FrameHeader> DecodeFrameHeader(std::string_view bytes) {
   if (bytes[6] != 0 || bytes[7] != 0) {
     return Status::InvalidArgument("reserved frame header bytes must be 0");
   }
-  const std::uint32_t len = std::uint32_t(std::uint8_t(bytes[8])) |
-                            std::uint32_t(std::uint8_t(bytes[9])) << 8 |
-                            std::uint32_t(std::uint8_t(bytes[10])) << 16 |
-                            std::uint32_t(std::uint8_t(bytes[11])) << 24;
+  std::uint32_t len;
+  std::memcpy(&len, bytes.data() + 8, sizeof len);
   if (len > kMaxFramePayload) {
     return Status::InvalidArgument(
         "frame payload length " + std::to_string(len) +
@@ -81,32 +79,24 @@ Result<FrameHeader> DecodeFrameHeader(std::string_view bytes) {
   return FrameHeader{FrameType(type), len};
 }
 
+void WireWriter::Bytes(const void* data, std::size_t n) {
+  buf_.append(static_cast<const char*>(data), n);
+}
+
 void WireWriter::U8(std::uint8_t v) { buf_.push_back(char(v)); }
-
-void WireWriter::U16(std::uint16_t v) {
-  U8(std::uint8_t(v & 0xff));
-  U8(std::uint8_t(v >> 8));
-}
-
-void WireWriter::U32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) U8(std::uint8_t((v >> (8 * i)) & 0xff));
-}
-
-void WireWriter::U64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) U8(std::uint8_t((v >> (8 * i)) & 0xff));
-}
-
-void WireWriter::I64(std::int64_t v) { U64(std::uint64_t(v)); }
-
-void WireWriter::F64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  U64(bits);
-}
+void WireWriter::U16(std::uint16_t v) { Bytes(&v, sizeof v); }
+void WireWriter::U32(std::uint32_t v) { Bytes(&v, sizeof v); }
+void WireWriter::U64(std::uint64_t v) { Bytes(&v, sizeof v); }
+void WireWriter::I64(std::int64_t v) { Bytes(&v, sizeof v); }
+void WireWriter::F64(double v) { Bytes(&v, sizeof v); }
 
 void WireWriter::Str(std::string_view v) {
   U32(std::uint32_t(v.size()));
-  buf_.append(v.data(), v.size());
+  Bytes(v.data(), v.size());
+}
+
+void WireWriter::PatchU32(std::size_t at, std::uint32_t v) {
+  std::memcpy(buf_.data() + at, &v, sizeof v);
 }
 
 Status WireReader::Need(std::size_t n) const {
@@ -118,60 +108,37 @@ Status WireReader::Need(std::size_t n) const {
   return Status::OK();
 }
 
-Status WireReader::U8(std::uint8_t* v) {
-  MODB_RETURN_IF_ERROR(Need(1));
-  *v = std::uint8_t(data_[pos_++]);
+Status WireReader::Get(void* v, std::size_t n) {
+  MODB_RETURN_IF_ERROR(Need(n));
+  std::memcpy(v, data_.data() + pos_, n);
+  pos_ += n;
   return Status::OK();
 }
 
-Status WireReader::U16(std::uint16_t* v) {
-  MODB_RETURN_IF_ERROR(Need(2));
-  *v = std::uint16_t(std::uint8_t(data_[pos_])) |
-       std::uint16_t(std::uint8_t(data_[pos_ + 1])) << 8;
-  pos_ += 2;
+Status WireReader::U8(std::uint8_t* v) { return Get(v, sizeof *v); }
+Status WireReader::U16(std::uint16_t* v) { return Get(v, sizeof *v); }
+Status WireReader::U32(std::uint32_t* v) { return Get(v, sizeof *v); }
+Status WireReader::U64(std::uint64_t* v) { return Get(v, sizeof *v); }
+Status WireReader::I64(std::int64_t* v) { return Get(v, sizeof *v); }
+Status WireReader::F64(double* v) { return Get(v, sizeof *v); }
+
+Status WireReader::View(std::size_t n, std::string_view* v) {
+  MODB_RETURN_IF_ERROR(Need(n));
+  *v = data_.substr(pos_, n);
+  pos_ += n;
   return Status::OK();
 }
 
-Status WireReader::U32(std::uint32_t* v) {
-  MODB_RETURN_IF_ERROR(Need(4));
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= std::uint32_t(std::uint8_t(data_[pos_ + i])) << (8 * i);
-  }
-  pos_ += 4;
-  return Status::OK();
-}
-
-Status WireReader::U64(std::uint64_t* v) {
-  MODB_RETURN_IF_ERROR(Need(8));
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= std::uint64_t(std::uint8_t(data_[pos_ + i])) << (8 * i);
-  }
-  pos_ += 8;
-  return Status::OK();
-}
-
-Status WireReader::I64(std::int64_t* v) {
-  std::uint64_t u;
-  MODB_RETURN_IF_ERROR(U64(&u));
-  *v = std::int64_t(u);
-  return Status::OK();
-}
-
-Status WireReader::F64(double* v) {
-  std::uint64_t bits;
-  MODB_RETURN_IF_ERROR(U64(&bits));
-  std::memcpy(v, &bits, sizeof *v);
-  return Status::OK();
+Status WireReader::StrView(std::string_view* v) {
+  std::uint32_t len;
+  MODB_RETURN_IF_ERROR(U32(&len));
+  return View(len, v);
 }
 
 Status WireReader::Str(std::string* v) {
-  std::uint32_t len;
-  MODB_RETURN_IF_ERROR(U32(&len));
-  MODB_RETURN_IF_ERROR(Need(len));
-  v->assign(data_.data() + pos_, len);
-  pos_ += len;
+  std::string_view view;
+  MODB_RETURN_IF_ERROR(StrView(&view));
+  v->assign(view);
   return Status::OK();
 }
 
@@ -368,43 +335,137 @@ Result<MutationResult> DecodeMutationAck(std::string_view block) {
   return ack;
 }
 
-Result<std::string> EncodeResultBlock(const QueryResult& result) {
-  WireWriter w;
-  w.U8(std::uint8_t(result.payload));
+namespace {
+
+Status OverCap(std::size_t bytes) {
+  return Status::InvalidArgument(
+      "reply of more than " + std::to_string(bytes) + " bytes exceeds the " +
+      std::to_string(kMaxFramePayload) +
+      "-byte frame payload cap (kMaxFramePayload); narrow the query");
+}
+
+// The exact size of the result block AppendResultBlock writes, counted
+// without allocating. InvalidArgument as soon as it plus `outside` (the
+// reply bytes around the block) passes kMaxFramePayload, so an
+// oversized reply costs no memory.
+Result<std::size_t> ResultBlockBytes(const QueryResult& result,
+                                     std::size_t outside) {
+  std::size_t n = 1;  // payload kind
   switch (result.payload) {
     case QueryResult::Payload::kRows: {
       const Relation& rel = result.rows;
-      w.Str(rel.name());
-      w.U32(std::uint32_t(rel.schema().NumAttributes()));
-      for (const AttributeDef& attr : rel.schema().attributes()) {
-        w.Str(attr.name);
-        w.U8(std::uint8_t(attr.type));
+      if (rel.schema().NumAttributes() == 0 && rel.NumTuples() != 0) {
+        return Status::InvalidArgument("rows without attributes");
       }
-      w.U32(std::uint32_t(rel.NumTuples()));
+      n += 4 + rel.name().size() + 4;
+      for (const AttributeDef& attr : rel.schema().attributes()) {
+        n += 4 + attr.name.size() + 1;
+      }
+      n += 4;
+      for (const Tuple& t : rel.tuples()) {
+        for (const AttributeValue& v : t) n += 4 + AttributeBytes(v);
+        if (outside + n > kMaxFramePayload) return OverCap(outside + n);
+      }
+      break;
+    }
+    case QueryResult::Payload::kXY:
+      n += 16 + sizeof(double) * (result.xs.size() + result.ys.size()) +
+           result.defined.size();
+      break;
+    case QueryResult::Payload::kPresent:
+      n += 16 + result.present.size();
+      break;
+  }
+  if (outside + n > kMaxFramePayload) return OverCap(outside + n);
+  return n;
+}
+
+// Appends the result block to w: attribute blobs are written in place
+// by AppendAttribute, the kXY / kPresent arrays with one copy each.
+Status AppendResultBlock(WireWriter* w, const QueryResult& result) {
+  w->U8(std::uint8_t(result.payload));
+  switch (result.payload) {
+    case QueryResult::Payload::kRows: {
+      const Relation& rel = result.rows;
+      w->Str(rel.name());
+      w->U32(std::uint32_t(rel.schema().NumAttributes()));
+      for (const AttributeDef& attr : rel.schema().attributes()) {
+        w->Str(attr.name);
+        w->U8(std::uint8_t(attr.type));
+      }
+      w->U32(std::uint32_t(rel.NumTuples()));
       for (const Tuple& t : rel.tuples()) {
         for (const AttributeValue& v : t) {
-          Result<std::string> blob = SerializeAttribute(v);
-          MODB_RETURN_IF_ERROR(blob.status());
-          w.Str(*blob);
+          // Length prefix first, patched once the blob is in place.
+          const std::size_t at = w->size();
+          w->U32(0);
+          MODB_RETURN_IF_ERROR(AppendAttribute(w->buffer(), v));
+          w->PatchU32(at, std::uint32_t(w->size() - at - 4));
         }
       }
       break;
     }
-    case QueryResult::Payload::kXY: {
-      w.U64(result.batch_tuples);
-      w.U64(result.batch_instants);
-      for (double x : result.xs) w.F64(x);
-      for (double y : result.ys) w.F64(y);
-      for (std::uint8_t d : result.defined) w.U8(d);
+    case QueryResult::Payload::kXY:
+      w->U64(result.batch_tuples);
+      w->U64(result.batch_instants);
+      w->Bytes(result.xs.data(), sizeof(double) * result.xs.size());
+      w->Bytes(result.ys.data(), sizeof(double) * result.ys.size());
+      w->Bytes(result.defined.data(), result.defined.size());
       break;
-    }
-    case QueryResult::Payload::kPresent: {
-      w.U64(result.batch_tuples);
-      w.U64(result.batch_instants);
-      for (std::uint8_t p : result.present) w.U8(p);
+    case QueryResult::Payload::kPresent:
+      w->U64(result.batch_tuples);
+      w->U64(result.batch_instants);
+      w->Bytes(result.present.data(), result.present.size());
       break;
-    }
   }
+  return Status::OK();
+}
+
+// Reads `cells` f64s after one bounds check.
+Status ReadF64s(WireReader* r, std::uint64_t cells, std::vector<double>* out) {
+  std::string_view bytes;
+  MODB_RETURN_IF_ERROR(r->View(cells * sizeof(double), &bytes));
+  out->resize(cells);
+  std::memcpy(out->data(), bytes.data(), bytes.size());
+  return Status::OK();
+}
+
+// Reads `cells` flag bytes after one bounds check; each must be 0 or 1.
+Status ReadFlags(WireReader* r, std::uint64_t cells, const char* what,
+                 std::vector<std::uint8_t>* out) {
+  std::string_view bytes;
+  MODB_RETURN_IF_ERROR(r->View(cells, &bytes));
+  if (std::any_of(bytes.begin(), bytes.end(),
+                  [](char c) { return std::uint8_t(c) > 1; })) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " byte must be 0 or 1");
+  }
+  out->assign(bytes.begin(), bytes.end());
+  return Status::OK();
+}
+
+// The batch geometry of a kXY / kPresent block, rejected when its
+// product could not fit a frame.
+Result<std::uint64_t> ReadCells(WireReader* r, QueryResult* result,
+                                const char* what) {
+  MODB_RETURN_IF_ERROR(r->U64(&result->batch_tuples));
+  MODB_RETURN_IF_ERROR(r->U64(&result->batch_instants));
+  if (result->batch_instants != 0 &&
+      result->batch_tuples > kMaxFramePayload / result->batch_instants) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " payload geometry overflows");
+  }
+  return result->batch_tuples * result->batch_instants;
+}
+
+}  // namespace
+
+Result<std::string> EncodeResultBlock(const QueryResult& result) {
+  Result<std::size_t> bytes = ResultBlockBytes(result, 0);
+  MODB_RETURN_IF_ERROR(bytes.status());
+  WireWriter w;
+  w.Reserve(*bytes);
+  MODB_RETURN_IF_ERROR(AppendResultBlock(&w, result));
   return w.Take();
 }
 
@@ -440,12 +501,22 @@ Result<QueryResult> DecodeResultBlock(std::string_view block) {
       Relation rel(std::move(name), Schema(std::move(attrs)));
       std::uint32_t num_tuples;
       MODB_RETURN_IF_ERROR(r.U32(&num_tuples));
-      std::string blob;
+      // Every value is at least its 4-byte length prefix, so a tuple
+      // count the block cannot hold is corruption — reject it before
+      // inserting anything (attribute-less tuples would consume no
+      // bytes at all).
+      const std::size_t min_tuple_bytes = 4 * std::size_t(num_attrs);
+      if (num_attrs == 0 ? num_tuples != 0
+                         : num_tuples > r.remaining() / min_tuple_bytes) {
+        return Status::InvalidArgument("tuple count exceeds the result block");
+      }
+      std::string_view blob;
       for (std::uint32_t i = 0; i < num_tuples; ++i) {
         Tuple t;
-        for (std::size_t a = 0; a < rel.schema().NumAttributes(); ++a) {
-          MODB_RETURN_IF_ERROR(r.Str(&blob));
-          Result<AttributeValue> v = DeserializeAttribute(blob);
+        t.reserve(num_attrs);
+        for (std::size_t a = 0; a < num_attrs; ++a) {
+          MODB_RETURN_IF_ERROR(r.StrView(&blob));
+          Result<AttributeValue> v = ParseAttribute(blob);
           MODB_RETURN_IF_ERROR(v.status());
           t.push_back(*std::move(v));
         }
@@ -456,48 +527,17 @@ Result<QueryResult> DecodeResultBlock(std::string_view block) {
       break;
     }
     case QueryResult::Payload::kXY: {
-      MODB_RETURN_IF_ERROR(r.U64(&result.batch_tuples));
-      MODB_RETURN_IF_ERROR(r.U64(&result.batch_instants));
-      if (result.batch_instants != 0 &&
-          result.batch_tuples > kMaxFramePayload / result.batch_instants) {
-        return Status::InvalidArgument("xy payload geometry overflows");
-      }
-      const std::uint64_t cells = result.batch_tuples * result.batch_instants;
-      double v;
-      for (std::uint64_t i = 0; i < cells; ++i) {
-        MODB_RETURN_IF_ERROR(r.F64(&v));
-        result.xs.push_back(v);
-      }
-      for (std::uint64_t i = 0; i < cells; ++i) {
-        MODB_RETURN_IF_ERROR(r.F64(&v));
-        result.ys.push_back(v);
-      }
-      std::uint8_t d;
-      for (std::uint64_t i = 0; i < cells; ++i) {
-        MODB_RETURN_IF_ERROR(r.U8(&d));
-        if (d > 1) {
-          return Status::InvalidArgument("defined byte must be 0 or 1");
-        }
-        result.defined.push_back(d);
-      }
+      Result<std::uint64_t> cells = ReadCells(&r, &result, "xy");
+      MODB_RETURN_IF_ERROR(cells.status());
+      MODB_RETURN_IF_ERROR(ReadF64s(&r, *cells, &result.xs));
+      MODB_RETURN_IF_ERROR(ReadF64s(&r, *cells, &result.ys));
+      MODB_RETURN_IF_ERROR(ReadFlags(&r, *cells, "defined", &result.defined));
       break;
     }
     case QueryResult::Payload::kPresent: {
-      MODB_RETURN_IF_ERROR(r.U64(&result.batch_tuples));
-      MODB_RETURN_IF_ERROR(r.U64(&result.batch_instants));
-      if (result.batch_instants != 0 &&
-          result.batch_tuples > kMaxFramePayload / result.batch_instants) {
-        return Status::InvalidArgument("present payload geometry overflows");
-      }
-      const std::uint64_t cells = result.batch_tuples * result.batch_instants;
-      std::uint8_t p;
-      for (std::uint64_t i = 0; i < cells; ++i) {
-        MODB_RETURN_IF_ERROR(r.U8(&p));
-        if (p > 1) {
-          return Status::InvalidArgument("present byte must be 0 or 1");
-        }
-        result.present.push_back(p);
-      }
+      Result<std::uint64_t> cells = ReadCells(&r, &result, "present");
+      MODB_RETURN_IF_ERROR(cells.status());
+      MODB_RETURN_IF_ERROR(ReadFlags(&r, *cells, "present", &result.present));
       break;
     }
   }
@@ -528,12 +568,26 @@ std::string EncodeReplyFrom(const Status& status, std::string_view block,
 
 Result<std::string> EncodeReply(const Status& status,
                                 const QueryResult* result) {
-  if (status.ok() && result != nullptr) {
-    Result<std::string> block = EncodeResultBlock(*result);
-    MODB_RETURN_IF_ERROR(block.status());
-    return EncodeReplyFrom(status, *block, result->stats.ToJson());
-  }
-  return EncodeReplyFrom(status, "", "");
+  if (!status.ok() || result == nullptr) return EncodeReplyFrom(status, "", "");
+  const std::string stats_json = result->stats.ToJson();
+  // Everything but the block: the code, the message, the stats JSON and
+  // the three length prefixes.
+  const std::size_t rest =
+      4 + 4 + status.message().size() + 4 + 4 + stats_json.size();
+  Result<std::size_t> block = ResultBlockBytes(*result, rest);
+  MODB_RETURN_IF_ERROR(block.status());
+  WireWriter w;
+  w.Reserve(rest + *block);
+  w.U32(std::uint32_t(status.code()));
+  w.Str(status.message());
+  // The block goes straight into the reply; its length is patched once
+  // it is in place.
+  const std::size_t at = w.size();
+  w.U32(0);
+  MODB_RETURN_IF_ERROR(AppendResultBlock(&w, *result));
+  w.PatchU32(at, std::uint32_t(w.size() - at - 4));
+  w.Str(stats_json);
+  return w.Take();
 }
 
 Result<std::string> EncodeMutationReply(const Status& status,
@@ -556,7 +610,7 @@ Result<WireReply> DecodeReply(std::string_view payload) {
   std::string message;
   MODB_RETURN_IF_ERROR(r.Str(&message));
   reply.status = Status(StatusCode(code), std::move(message));
-  MODB_RETURN_IF_ERROR(r.Str(&reply.result_block));
+  MODB_RETURN_IF_ERROR(r.StrView(&reply.result_block));
   MODB_RETURN_IF_ERROR(r.Str(&reply.stats_json));
   MODB_RETURN_IF_ERROR(r.ExpectEnd());
   if (reply.status.ok() && reply.result_block.empty()) {

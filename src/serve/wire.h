@@ -70,7 +70,8 @@ std::string EncodeFrameHeader(FrameType type, std::uint32_t payload_len);
 /// reserved, oversized length) is InvalidArgument.
 Result<FrameHeader> DecodeFrameHeader(std::string_view bytes);
 
-/// Little-endian payload writer.
+/// Little-endian payload writer. Every primitive is one memcpy of its
+/// native bytes (the build requires a little-endian host).
 class WireWriter {
  public:
   void U8(std::uint8_t v);
@@ -81,7 +82,17 @@ class WireWriter {
   void F64(double v);
   /// u32 length prefix + raw bytes.
   void Str(std::string_view v);
+  /// Raw bytes, no length prefix.
+  void Bytes(const void* data, std::size_t n);
+  /// Overwrites the u32 at byte offset `at` (a length written before
+  /// the bytes it counts).
+  void PatchU32(std::size_t at, std::uint32_t v);
 
+  void Reserve(std::size_t n) { buf_.reserve(n); }
+  std::size_t size() const { return buf_.size(); }
+  /// The buffer itself, for encoders that append in place
+  /// (AppendAttribute).
+  std::string* buffer() { return &buf_; }
   const std::string& bytes() const { return buf_; }
   std::string Take() { return std::move(buf_); }
 
@@ -102,6 +113,10 @@ class WireReader {
   Status I64(std::int64_t* v);
   Status F64(double* v);
   Status Str(std::string* v);
+  /// Str without the copy: a view of the payload's bytes.
+  Status StrView(std::string_view* v);
+  /// The next n raw bytes as a view of the payload.
+  Status View(std::size_t n, std::string_view* v);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   /// InvalidArgument unless the payload was consumed exactly.
@@ -109,6 +124,7 @@ class WireReader {
 
  private:
   Status Need(std::size_t n) const;
+  Status Get(void* v, std::size_t n);
   std::string_view data_;
   std::size_t pos_ = 0;
 };
@@ -133,22 +149,27 @@ Result<MutationResult> DecodeMutationAck(std::string_view block);
 /// (rows / xy / present geometry), NOT including stats — two runs of the
 /// same query produce byte-identical result blocks for any thread
 /// count, which is what the concurrent-client determinism tests and
-/// loadgen --verify compare.
+/// loadgen --verify compare. The encoder sizes the block before
+/// allocating it; a block that would not fit a frame (kMaxFramePayload)
+/// is InvalidArgument. The decoder reads attribute blobs in place.
 Result<std::string> EncodeResultBlock(const QueryResult& result);
 Result<QueryResult> DecodeResultBlock(std::string_view block);
 
 /// A decoded reply: the remote status, the raw result block (empty on
 /// error — kept so clients can compare identity without re-encoding),
 /// and the ExecStats JSON (outside the identity-compared bytes: wall
-/// times differ run to run).
+/// times differ run to run). `result_block` is a view into the payload
+/// given to DecodeReply and is valid only while that payload is.
 struct WireReply {
   Status status;
-  std::string result_block;
+  std::string_view result_block;
   std::string stats_json;
 };
 
 /// Reply payload: u32 status code, string message, string result block
-/// (empty on error), string stats JSON.
+/// (empty on error), string stats JSON. Written into one buffer sized up
+/// front; a reply that would exceed kMaxFramePayload is InvalidArgument
+/// (naming the cap) before anything is allocated for it.
 Result<std::string> EncodeReply(const Status& status,
                                 const QueryResult* result);
 /// Reply to a mutation: same layout, the block is a mutation ack and

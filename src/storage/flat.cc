@@ -1,48 +1,218 @@
 #include "storage/flat.h"
 
+#include <bit>
+#include <cstring>
 #include <utility>
+#include <variant>
 
 namespace modb {
 
 namespace {
 
 constexpr uint32_t kMagic = 0x4d4f4442;  // "MODB"
+/// magic + root size + array count.
+constexpr std::size_t kBlobHeaderBytes = 12;
+
+// -- encoding ----------------------------------------------------------------
+//
+// Every type has ONE encoder, Encode(W*, const T&), written against a
+// sink W that receives the root record and then each database array in
+// order: Begin(num_arrays) opens the root, Array() opens the next array,
+// End() closes the value. Three sinks run it:
+//  - SizeSink counts the SerializeFlat bytes, so buffers are sized once;
+//  - BlobSink writes the SerializeFlat bytes through a raw cursor into
+//    space sized by SizeSink (AppendAttribute);
+//  - ValueSink builds a FlatValue, root and arrays as strings (ToFlat).
+// Values are little-endian: the records are memcpy'd.
+static_assert(std::endian::native == std::endian::little,
+              "flat records are little-endian byte copies");
+
+class SizeSink {
+ public:
+  void Begin(uint32_t) { n_ += kBlobHeaderBytes; }
+  void Array() { n_ += sizeof(uint32_t); }
+  void End() {}
+  void Put(const void*, std::size_t k) { n_ += k; }
+  void Zeros(std::size_t k) { n_ += k; }
+  std::size_t bytes() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
+class BlobSink {
+ public:
+  explicit BlobSink(char* p) : p_(p) {}
+  void Begin(uint32_t num_arrays) {
+    Put(&kMagic, sizeof kMagic);
+    Open();
+    Put(&num_arrays, sizeof num_arrays);
+    start_ = p_;  // the root record; its size is patched by Close()
+  }
+  void Array() {
+    Close();
+    Open();
+  }
+  void End() { Close(); }
+  void Put(const void* v, std::size_t k) {
+    std::memcpy(p_, v, k);
+    p_ += k;
+  }
+  void Zeros(std::size_t k) {
+    std::memset(p_, 0, k);
+    p_ += k;
+  }
+
+ private:
+  // Reserves a section's u32 size field; Close() fills it in.
+  void Open() {
+    size_at_ = p_;
+    p_ += sizeof(uint32_t);
+    start_ = p_;
+  }
+  void Close() {
+    const uint32_t n = uint32_t(p_ - start_);
+    std::memcpy(size_at_, &n, sizeof n);
+  }
+
+  char* p_;
+  char* size_at_ = nullptr;
+  char* start_ = nullptr;
+};
+
+class ValueSink {
+ public:
+  void Begin(uint32_t num_arrays) {
+    value_.arrays.reserve(num_arrays);
+    cur_ = &value_.root;
+  }
+  void Array() { cur_ = &value_.arrays.emplace_back(); }
+  void End() {}
+  void Put(const void* v, std::size_t k) {
+    cur_->append(static_cast<const char*>(v), k);
+  }
+  void Zeros(std::size_t k) { cur_->append(k, '\0'); }
+  FlatValue Take() { return std::move(value_); }
+
+ private:
+  FlatValue value_;
+  std::string* cur_ = nullptr;
+};
+
+template <typename W>
+void PutU8(W* w, uint8_t v) {
+  w->Put(&v, sizeof v);
+}
+template <typename W>
+void PutU32(W* w, uint32_t v) {
+  w->Put(&v, sizeof v);
+}
+template <typename W>
+void PutI32(W* w, int32_t v) {
+  w->Put(&v, sizeof v);
+}
+template <typename W>
+void PutI64(W* w, int64_t v) {
+  w->Put(&v, sizeof v);
+}
+template <typename W>
+void PutF64(W* w, double v) {
+  w->Put(&v, sizeof v);
+}
 
 // -- shared record helpers ---------------------------------------------------
 
-void PutInterval(ByteWriter* w, const TimeInterval& iv) {
-  w->PutF64(iv.start());
-  w->PutF64(iv.end());
-  w->PutU8(iv.left_closed() ? 1 : 0);
-  w->PutU8(iv.right_closed() ? 1 : 0);
-}
+// Reads fixed-size records whose bytes one length check has already
+// covered: no per-field bounds checks.
+class RecordReader {
+ public:
+  explicit RecordReader(const char* p) : p_(p) {}
+  template <typename T>
+  T Get() {
+    T v;
+    std::memcpy(&v, p_, sizeof v);
+    p_ += sizeof v;
+    return v;
+  }
+  std::string_view View(std::size_t n) {
+    std::string_view v(p_, n);
+    p_ += n;
+    return v;
+  }
 
-Result<TimeInterval> GetInterval(ByteReader* r) {
-  double s, e;
-  uint8_t lc, rc;
-  MODB_RETURN_IF_ERROR(r->GetF64(&s));
-  MODB_RETURN_IF_ERROR(r->GetF64(&e));
-  MODB_RETURN_IF_ERROR(r->GetU8(&lc));
-  MODB_RETURN_IF_ERROR(r->GetU8(&rc));
-  return TimeInterval::Make(s, e, lc != 0, rc != 0);
-}
+ private:
+  const char* p_;
+};
 
-void PutMotion(ByteWriter* w, const LinearMotion& m) {
-  w->PutF64(m.x0);
-  w->PutF64(m.x1);
-  w->PutF64(m.y0);
-  w->PutF64(m.y1);
-}
+// Record sizes of the fixed-width records (bytes on the wire).
+constexpr std::size_t kIntervalBytes = 18;   // 2 f64 + 2 u8
+constexpr std::size_t kMotionBytes = 32;     // 4 f64
+constexpr std::size_t kStringBytes = 1 + kMaxStringLength;  // u8 len + chars
+constexpr std::size_t kURealBytes = 25;      // 3 f64 + u8
+constexpr std::size_t kPointBytes = 16;      // 2 f64
+constexpr std::size_t kLineHsBytes = 33;     // seg + left_dominating u8
+constexpr std::size_t kRegionHsBytes = 46;   // seg + 2 u8 + 3 i32
+constexpr std::size_t kCycleRecBytes = 17;   // 3 i32 + u8 + i32
+constexpr std::size_t kFaceRecBytes = 8;     // 2 i32
+constexpr std::size_t kSubarrayRefBytes = 8; // offset u32 + count u32
 
-Status GetMotion(ByteReader* r, LinearMotion* m) {
-  MODB_RETURN_IF_ERROR(r->GetF64(&m->x0));
-  MODB_RETURN_IF_ERROR(r->GetF64(&m->x1));
-  MODB_RETURN_IF_ERROR(r->GetF64(&m->y0));
-  MODB_RETURN_IF_ERROR(r->GetF64(&m->y1));
+// One bounds check for a whole record, then field reads through a
+// RecordReader.
+Status GetRecord(ByteReader* r, std::size_t n, RecordReader* out) {
+  std::string_view v;
+  MODB_RETURN_IF_ERROR(r->GetView(n, &v));
+  *out = RecordReader(v.data());
   return Status::OK();
 }
 
-void PutMSeg(ByteWriter* w, const MSeg& m) {
+template <typename W>
+void PutInterval(W* w, const TimeInterval& iv) {
+  PutF64(w, iv.start());
+  PutF64(w, iv.end());
+  PutU8(w, iv.left_closed() ? 1 : 0);
+  PutU8(w, iv.right_closed() ? 1 : 0);
+}
+
+Result<TimeInterval> GetInterval(RecordReader* r) {
+  const double s = r->Get<double>();
+  const double e = r->Get<double>();
+  const uint8_t lc = r->Get<uint8_t>();
+  const uint8_t rc = r->Get<uint8_t>();
+  return TimeInterval::Make(s, e, lc != 0, rc != 0);
+}
+
+Result<TimeInterval> GetInterval(ByteReader* r) {
+  RecordReader rec(nullptr);
+  MODB_RETURN_IF_ERROR(GetRecord(r, kIntervalBytes, &rec));
+  return GetInterval(&rec);
+}
+
+template <typename W>
+void PutMotion(W* w, const LinearMotion& m) {
+  PutF64(w, m.x0);
+  PutF64(w, m.x1);
+  PutF64(w, m.y0);
+  PutF64(w, m.y1);
+}
+
+LinearMotion GetMotion(RecordReader* r) {
+  LinearMotion m;
+  m.x0 = r->Get<double>();
+  m.x1 = r->Get<double>();
+  m.y0 = r->Get<double>();
+  m.y1 = r->Get<double>();
+  return m;
+}
+
+Status GetMotion(ByteReader* r, LinearMotion* m) {
+  RecordReader rec(nullptr);
+  MODB_RETURN_IF_ERROR(GetRecord(r, kMotionBytes, &rec));
+  *m = GetMotion(&rec);
+  return Status::OK();
+}
+
+template <typename W>
+void PutMSeg(W* w, const MSeg& m) {
   PutMotion(w, m.s());
   PutMotion(w, m.e());
 }
@@ -54,11 +224,12 @@ Result<MSeg> GetMSeg(ByteReader* r) {
   return MSeg::Make(s, e);
 }
 
-void PutRect(ByteWriter* w, const Rect& r) {
-  w->PutF64(r.min_x);
-  w->PutF64(r.min_y);
-  w->PutF64(r.max_x);
-  w->PutF64(r.max_y);
+template <typename W>
+void PutRect(W* w, const Rect& r) {
+  PutF64(w, r.min_x);
+  PutF64(w, r.min_y);
+  PutF64(w, r.max_x);
+  PutF64(w, r.max_y);
 }
 
 Status GetRect(ByteReader* r, Rect* out) {
@@ -69,11 +240,12 @@ Status GetRect(ByteReader* r, Rect* out) {
   return Status::OK();
 }
 
-void PutSeg(ByteWriter* w, const Seg& s) {
-  w->PutF64(s.a().x);
-  w->PutF64(s.a().y);
-  w->PutF64(s.b().x);
-  w->PutF64(s.b().y);
+template <typename W>
+void PutSeg(W* w, const Seg& s) {
+  PutF64(w, s.a().x);
+  PutF64(w, s.a().y);
+  PutF64(w, s.b().x);
+  PutF64(w, s.b().y);
 }
 
 Result<Seg> GetSeg(ByteReader* r) {
@@ -85,13 +257,22 @@ Result<Seg> GetSeg(ByteReader* r) {
   return Seg::Make(Point(ax, ay), Point(bx, by));
 }
 
-// A generic fixed-record base-value encoder.
-template <typename T, typename PutFn>
-FlatValue BaseToFlat(const BaseValue<T>& v, PutFn put) {
-  ByteWriter w;
-  w.PutU8(v.defined() ? 1 : 0);
-  put(&w, v);
-  return FlatValue{w.Take(), {}};
+// A string as its fixed-length character array: u8 length, then
+// kMaxStringLength bytes, zero padded (Section 4.1 footnote).
+template <typename W>
+void PutPaddedString(W* w, const std::string& s) {
+  PutU8(w, uint8_t(s.size()));
+  w->Put(s.data(), s.size());
+  w->Zeros(kMaxStringLength - s.size());
+}
+
+Result<std::string> GetPaddedString(RecordReader* r) {
+  const uint8_t len = r->Get<uint8_t>();
+  const std::string_view padded = r->View(kMaxStringLength);
+  if (len > kMaxStringLength) {
+    return Status::InvalidArgument("bad string length");
+  }
+  return std::string(padded.substr(0, len));
 }
 
 // A corrupted count field must not drive a huge allocation before the
@@ -107,16 +288,318 @@ Status CheckCount(uint32_t n, std::size_t remaining,
   return Status::OK();
 }
 
-// Record sizes of the fixed-width array entries (bytes on the wire).
-constexpr std::size_t kIntervalBytes = 18;   // 2 f64 + 2 u8
-constexpr std::size_t kPointBytes = 16;      // 2 f64
-constexpr std::size_t kLineHsBytes = 33;     // seg + left_dominating u8
-constexpr std::size_t kRegionHsBytes = 46;   // seg + 2 u8 + 3 i32
-constexpr std::size_t kCycleRecBytes = 17;   // 3 i32 + u8 + i32
-constexpr std::size_t kFaceRecBytes = 8;     // 2 i32
-constexpr std::size_t kSubarrayRefBytes = 8; // offset u32 + count u32
+Status CheckArity(const FlatView& f, std::size_t arrays, const char* type) {
+  if (f.num_arrays != arrays) {
+    return Status::InvalidArgument(std::string(type) + " arity");
+  }
+  return Status::OK();
+}
+
+// Decoders read their record or array to the end: bytes a writer never
+// produces are corruption, not padding.
+Status CheckConsumed(const ByteReader& r, const char* what) {
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument(std::to_string(r.Remaining()) +
+                                   " unconsumed bytes in " + what);
+  }
+  return Status::OK();
+}
+
+// -- base types --------------------------------------------------------------
+
+template <typename W>
+void Encode(W* w, const IntValue& v) {
+  w->Begin(0);
+  PutU8(w, v.defined() ? 1 : 0);
+  PutI64(w, v.defined() ? v.value() : 0);
+  w->End();
+}
+
+template <typename W>
+void Encode(W* w, const RealValue& v) {
+  w->Begin(0);
+  PutU8(w, v.defined() ? 1 : 0);
+  PutF64(w, v.defined() ? v.value() : 0);
+  w->End();
+}
+
+template <typename W>
+void Encode(W* w, const BoolValue& v) {
+  w->Begin(0);
+  PutU8(w, v.defined() ? 1 : 0);
+  PutU8(w, v.defined() && v.value() ? 1 : 0);
+  w->End();
+}
+
+// Strings must pass CheckStrings first.
+template <typename W>
+void Encode(W* w, const StringValue& v) {
+  static const std::string kEmpty;
+  w->Begin(0);
+  PutU8(w, v.defined() ? 1 : 0);
+  PutPaddedString(w, v.defined() ? v.value() : kEmpty);
+  w->End();
+}
+
+// -- spatial types -----------------------------------------------------------
+
+template <typename W>
+void Encode(W* w, const Point& p) {
+  w->Begin(0);
+  PutF64(w, p.x);
+  PutF64(w, p.y);
+  w->End();
+}
+
+template <typename W>
+void Encode(W* w, const Points& ps) {
+  w->Begin(1);
+  PutU32(w, uint32_t(ps.Size()));
+  PutRect(w, ps.BoundingBox());
+  w->Array();
+  for (const Point& p : ps.points()) {
+    PutF64(w, p.x);
+    PutF64(w, p.y);
+  }
+  w->End();
+}
+
+template <typename W>
+void Encode(W* w, const Line& l) {
+  w->Begin(1);
+  PutU32(w, uint32_t(l.NumSegments()));
+  PutF64(w, l.Length());
+  PutRect(w, l.BoundingBox());
+  w->Array();
+  // Halfsegment array, sorted (Section 4.1).
+  for (const HalfSegment& h : l.HalfSegments()) {
+    PutSeg(w, h.seg);
+    PutU8(w, h.left_dominating ? 1 : 0);
+  }
+  w->End();
+}
+
+template <typename W>
+void Encode(W* w, const Region& reg) {
+  w->Begin(3);
+  PutU32(w, uint32_t(reg.halfsegments().size()));
+  PutU32(w, uint32_t(reg.NumCycles()));
+  PutU32(w, uint32_t(reg.NumFaces()));
+  PutF64(w, reg.Area());
+  PutF64(w, reg.Perimeter());
+  PutRect(w, reg.BoundingBox());
+  w->Array();
+  for (const HalfSegment& h : reg.halfsegments()) {
+    PutSeg(w, h.seg);
+    PutU8(w, h.left_dominating ? 1 : 0);
+    PutU8(w, h.inside_above ? 1 : 0);
+    PutI32(w, h.cycle);
+    PutI32(w, h.face);
+    PutI32(w, h.next_in_cycle);
+  }
+  w->Array();
+  for (const CycleRecord& c : reg.cycles()) {
+    PutI32(w, c.first_halfsegment);
+    PutI32(w, c.next_cycle_in_face);
+    PutI32(w, c.face);
+    PutU8(w, c.is_hole ? 1 : 0);
+    PutI32(w, c.size);
+  }
+  w->Array();
+  for (const FaceRecord& fc : reg.faces()) {
+    PutI32(w, fc.first_cycle);
+    PutI32(w, fc.num_holes);
+  }
+  w->End();
+}
+
+// -- range types -------------------------------------------------------------
+
+template <typename W>
+void Encode(W* w, const Periods& p) {
+  w->Begin(1);
+  PutU32(w, uint32_t(p.NumIntervals()));
+  w->Array();
+  for (const TimeInterval& iv : p.intervals()) PutInterval(w, iv);
+  w->End();
+}
+
+// -- sliced representations --------------------------------------------------
+
+// Unit payloads of the fixed-size-unit mappings.
+template <typename W>
+void PutValue(W* w, const UBool& u) {
+  PutU8(w, u.value() ? 1 : 0);
+}
+template <typename W>
+void PutValue(W* w, const UInt& u) {
+  PutI64(w, u.value());
+}
+template <typename W>
+void PutValue(W* w, const UString& u) {
+  PutPaddedString(w, u.value());
+}
+template <typename W>
+void PutValue(W* w, const UReal& u) {
+  PutF64(w, u.a());
+  PutF64(w, u.b());
+  PutF64(w, u.c());
+  PutU8(w, u.root() ? 1 : 0);
+}
+template <typename W>
+void PutValue(W* w, const UPoint& u) {
+  PutMotion(w, u.motion());
+}
+
+// Fixed-size-unit mappings (mbool, mint, mstring, mreal, mpoint): one
+// `units` array (Figure 7 with k = 0 subarrays), each record the unit
+// interval and then the unit payload. The subarray layouts below are
+// more specialized overloads.
+template <typename W, typename U>
+void Encode(W* w, const Mapping<U>& m) {
+  w->Begin(1);
+  PutU32(w, uint32_t(m.NumUnits()));
+  w->Array();
+  for (const U& u : m.units()) {
+    PutInterval(w, u.interval());
+    PutValue(w, u);
+  }
+  w->End();
+}
+
+// Figure 7 layout: a units array with subarray references into one
+// shared array of unit components (motions, msegments).
+template <typename W>
+void Encode(W* w, const MovingPoints& m) {
+  w->Begin(2);
+  PutU32(w, uint32_t(m.NumUnits()));
+  w->Array();
+  uint32_t offset = 0;
+  for (const UPoints& u : m.units()) {
+    PutInterval(w, u.interval());
+    PutU32(w, offset);
+    PutU32(w, uint32_t(u.Size()));
+    offset += uint32_t(u.Size());
+  }
+  w->Array();
+  for (const UPoints& u : m.units()) {
+    for (const LinearMotion& mo : u.motions()) PutMotion(w, mo);
+  }
+  w->End();
+}
+
+template <typename W>
+void Encode(W* w, const MovingLine& m) {
+  w->Begin(2);
+  PutU32(w, uint32_t(m.NumUnits()));
+  w->Array();
+  uint32_t offset = 0;
+  for (const ULine& u : m.units()) {
+    PutInterval(w, u.interval());
+    PutU32(w, offset);
+    PutU32(w, uint32_t(u.Size()));
+    offset += uint32_t(u.Size());
+  }
+  w->Array();
+  for (const ULine& u : m.units()) {
+    for (const MSeg& s : u.msegs()) PutMSeg(w, s);
+  }
+  w->End();
+}
+
+// Figure 7 + Section 4.2: units reference mfaces, which reference
+// mcycles (outer first, then holes), which reference runs of the shared
+// msegments array.
+template <typename W>
+void Encode(W* w, const MovingRegion& m) {
+  w->Begin(4);
+  PutU32(w, uint32_t(m.NumUnits()));
+  w->Array();
+  uint32_t face_off = 0;
+  for (const URegion& u : m.units()) {
+    PutInterval(w, u.interval());
+    PutU32(w, face_off);
+    PutU32(w, uint32_t(u.faces().size()));
+    face_off += uint32_t(u.faces().size());
+  }
+  w->Array();
+  uint32_t cycle_off = 0;
+  for (const URegion& u : m.units()) {
+    for (const MFace& fc : u.faces()) {
+      PutU32(w, cycle_off);
+      PutU32(w, uint32_t(1 + fc.holes.size()));
+      cycle_off += uint32_t(1 + fc.holes.size());
+    }
+  }
+  w->Array();
+  uint32_t mseg_off = 0;
+  auto put_cycle = [&](const MCycle& cyc, bool is_hole) {
+    PutU32(w, mseg_off);
+    PutU32(w, uint32_t(cyc.size()));
+    PutU8(w, is_hole ? 1 : 0);
+    mseg_off += uint32_t(cyc.size());
+  };
+  for (const URegion& u : m.units()) {
+    for (const MFace& fc : u.faces()) {
+      put_cycle(fc.outer, false);
+      for (const MCycle& h : fc.holes) put_cycle(h, true);
+    }
+  }
+  w->Array();
+  for (const URegion& u : m.units()) {
+    for (const MFace& fc : u.faces()) {
+      for (const MSeg& s : fc.outer) PutMSeg(w, s);
+      for (const MCycle& h : fc.holes) {
+        for (const MSeg& s : h) PutMSeg(w, s);
+      }
+    }
+  }
+  w->End();
+}
+
+// Strings longer than kMaxStringLength are rejected before anything is
+// written; every other value is always encodable.
+Status CheckStrings(const StringValue& v) {
+  if (v.defined() && !FitsFlatString(v.value())) {
+    return Status::InvalidArgument("string exceeds fixed attribute length");
+  }
+  return Status::OK();
+}
+Status CheckStrings(const MovingString& m) {
+  for (const UString& u : m.units()) {
+    if (!FitsFlatString(u.value())) {
+      return Status::InvalidArgument("string exceeds fixed attribute length");
+    }
+  }
+  return Status::OK();
+}
+template <typename T>
+Status CheckStrings(const T&) {
+  return Status::OK();
+}
+
+template <typename T>
+std::size_t BlobBytes(const T& v) {
+  SizeSink size;
+  Encode(&size, v);
+  return size.bytes();
+}
+
+template <typename T>
+FlatValue EncodeValue(const T& v) {
+  ValueSink sink;
+  Encode(&sink, v);
+  return sink.Take();
+}
 
 }  // namespace
+
+FlatView::FlatView(const FlatValue& value)
+    : root(value.root), num_arrays(value.arrays.size()) {
+  for (std::size_t i = 0; i < num_arrays && i < kMaxFlatArrays; ++i) {
+    arrays[i] = value.arrays[i];
+  }
+}
 
 // -- blob packing ------------------------------------------------------------
 
@@ -133,132 +616,115 @@ std::string SerializeFlat(const FlatValue& value) {
   return w.Take();
 }
 
-Result<FlatValue> ParseFlat(std::string_view blob) {
+Result<FlatView> ParseFlatView(std::string_view blob) {
   ByteReader r(blob);
   uint32_t magic, root_size, num_arrays;
   MODB_RETURN_IF_ERROR(r.GetU32(&magic));
   if (magic != kMagic) return Status::InvalidArgument("bad magic");
   MODB_RETURN_IF_ERROR(r.GetU32(&root_size));
   MODB_RETURN_IF_ERROR(r.GetU32(&num_arrays));
-  FlatValue out;
-  MODB_RETURN_IF_ERROR(r.GetBytes(root_size, &out.root));
+  if (num_arrays > kMaxFlatArrays) {
+    return Status::InvalidArgument("more database arrays than any type has");
+  }
+  FlatView out;
+  out.num_arrays = num_arrays;
+  MODB_RETURN_IF_ERROR(r.GetView(root_size, &out.root));
   for (uint32_t i = 0; i < num_arrays; ++i) {
     uint32_t n;
     MODB_RETURN_IF_ERROR(r.GetU32(&n));
-    std::string a;
-    MODB_RETURN_IF_ERROR(r.GetBytes(n, &a));
-    out.arrays.push_back(std::move(a));
+    MODB_RETURN_IF_ERROR(r.GetView(n, &out.arrays[i]));
   }
   if (!r.AtEnd()) return Status::InvalidArgument("trailing bytes");
   return out;
 }
 
-// -- base types --------------------------------------------------------------
-
-FlatValue ToFlat(const IntValue& v) {
-  return BaseToFlat(v, [](ByteWriter* w, const IntValue& x) {
-    w->PutI64(x.defined() ? x.value() : 0);
-  });
+Result<FlatValue> ParseFlat(std::string_view blob) {
+  Result<FlatView> view = ParseFlatView(blob);
+  MODB_RETURN_IF_ERROR(view.status());
+  FlatValue out{std::string(view->root), {}};
+  for (std::size_t i = 0; i < view->num_arrays; ++i) {
+    out.arrays.emplace_back(view->arrays[i]);
+  }
+  return out;
 }
 
-Result<IntValue> IntFromFlat(const FlatValue& f) {
+// -- base types --------------------------------------------------------------
+
+FlatValue ToFlat(const IntValue& v) { return EncodeValue(v); }
+
+Result<IntValue> IntFromFlat(const FlatView& f) {
+  MODB_RETURN_IF_ERROR(CheckArity(f, 0, "int"));
   ByteReader r(f.root);
   uint8_t defined;
   int64_t value;
   MODB_RETURN_IF_ERROR(r.GetU8(&defined));
   MODB_RETURN_IF_ERROR(r.GetI64(&value));
+  MODB_RETURN_IF_ERROR(CheckConsumed(r, "int root"));
   return defined ? IntValue(value) : IntValue::Undefined();
 }
 
-FlatValue ToFlat(const RealValue& v) {
-  return BaseToFlat(v, [](ByteWriter* w, const RealValue& x) {
-    w->PutF64(x.defined() ? x.value() : 0);
-  });
-}
+FlatValue ToFlat(const RealValue& v) { return EncodeValue(v); }
 
-Result<RealValue> RealFromFlat(const FlatValue& f) {
+Result<RealValue> RealFromFlat(const FlatView& f) {
+  MODB_RETURN_IF_ERROR(CheckArity(f, 0, "real"));
   ByteReader r(f.root);
   uint8_t defined;
   double value;
   MODB_RETURN_IF_ERROR(r.GetU8(&defined));
   MODB_RETURN_IF_ERROR(r.GetF64(&value));
+  MODB_RETURN_IF_ERROR(CheckConsumed(r, "real root"));
   return defined ? RealValue(value) : RealValue::Undefined();
 }
 
-FlatValue ToFlat(const BoolValue& v) {
-  return BaseToFlat(v, [](ByteWriter* w, const BoolValue& x) {
-    w->PutU8(x.defined() && x.value() ? 1 : 0);
-  });
-}
+FlatValue ToFlat(const BoolValue& v) { return EncodeValue(v); }
 
-Result<BoolValue> BoolFromFlat(const FlatValue& f) {
+Result<BoolValue> BoolFromFlat(const FlatView& f) {
+  MODB_RETURN_IF_ERROR(CheckArity(f, 0, "bool"));
   ByteReader r(f.root);
   uint8_t defined, value;
   MODB_RETURN_IF_ERROR(r.GetU8(&defined));
   MODB_RETURN_IF_ERROR(r.GetU8(&value));
+  MODB_RETURN_IF_ERROR(CheckConsumed(r, "bool root"));
   return defined ? BoolValue(value != 0) : BoolValue::Undefined();
 }
 
 Result<FlatValue> ToFlat(const StringValue& v) {
-  if (v.defined() && !FitsFlatString(v.value())) {
-    return Status::InvalidArgument("string exceeds fixed attribute length");
-  }
-  ByteWriter w;
-  w.PutU8(v.defined() ? 1 : 0);
-  std::string padded(kMaxStringLength, '\0');
-  uint8_t len = 0;
-  if (v.defined()) {
-    len = uint8_t(v.value().size());
-    padded.replace(0, v.value().size(), v.value());
-  }
-  w.PutU8(len);
-  w.PutBytes(padded);
-  return FlatValue{w.Take(), {}};
+  MODB_RETURN_IF_ERROR(CheckStrings(v));
+  return EncodeValue(v);
 }
 
-Result<StringValue> StringFromFlat(const FlatValue& f) {
+Result<StringValue> StringFromFlat(const FlatView& f) {
+  MODB_RETURN_IF_ERROR(CheckArity(f, 0, "string"));
   ByteReader r(f.root);
-  uint8_t defined, len;
+  uint8_t defined;
+  RecordReader rec(nullptr);
   MODB_RETURN_IF_ERROR(r.GetU8(&defined));
-  MODB_RETURN_IF_ERROR(r.GetU8(&len));
-  std::string padded;
-  MODB_RETURN_IF_ERROR(r.GetBytes(kMaxStringLength, &padded));
-  if (len > kMaxStringLength) return Status::InvalidArgument("bad length");
+  MODB_RETURN_IF_ERROR(GetRecord(&r, kStringBytes, &rec));
+  Result<std::string> s = GetPaddedString(&rec);
+  MODB_RETURN_IF_ERROR(s.status());
+  MODB_RETURN_IF_ERROR(CheckConsumed(r, "string root"));
   if (!defined) return StringValue::Undefined();
-  return StringValue(padded.substr(0, len));
+  return StringValue(*std::move(s));
 }
 
 // -- spatial types -----------------------------------------------------------
 
-FlatValue ToFlat(const Point& p) {
-  ByteWriter w;
-  w.PutF64(p.x);
-  w.PutF64(p.y);
-  return FlatValue{w.Take(), {}};
-}
+FlatValue ToFlat(const Point& p) { return EncodeValue(p); }
 
-Result<Point> PointFromFlat(const FlatValue& f) {
+Result<Point> PointFromFlat(const FlatView& f) {
+  MODB_RETURN_IF_ERROR(CheckArity(f, 0, "point"));
   ByteReader r(f.root);
   Point p;
   MODB_RETURN_IF_ERROR(r.GetF64(&p.x));
   MODB_RETURN_IF_ERROR(r.GetF64(&p.y));
+  MODB_RETURN_IF_ERROR(CheckConsumed(r, "point root"));
   return p;
 }
 
-FlatValue ToFlat(const Points& ps) {
-  ByteWriter root;
-  root.PutU32(uint32_t(ps.Size()));
-  PutRect(&root, ps.BoundingBox());
-  ByteWriter arr;
-  for (const Point& p : ps.points()) {
-    arr.PutF64(p.x);
-    arr.PutF64(p.y);
-  }
-  return FlatValue{root.Take(), {arr.Take()}};
-}
+FlatValue ToFlat(const Points& ps) { return EncodeValue(ps); }
 
-Result<Points> PointsFromFlat(const FlatValue& f) {
-  if (f.arrays.size() != 1) return Status::InvalidArgument("points arity");
+Result<Points> PointsFromFlat(const FlatView& f) {
+  MODB_RETURN_IF_ERROR(CheckArity(f, 1, "points"));
   ByteReader root(f.root);
   uint32_t n;
   MODB_RETURN_IF_ERROR(root.GetU32(&n));
@@ -269,25 +735,14 @@ Result<Points> PointsFromFlat(const FlatValue& f) {
     MODB_RETURN_IF_ERROR(arr.GetF64(&pts[i].x));
     MODB_RETURN_IF_ERROR(arr.GetF64(&pts[i].y));
   }
+  MODB_RETURN_IF_ERROR(CheckConsumed(arr, "points array"));
   return Points::FromVector(std::move(pts));
 }
 
-FlatValue ToFlat(const Line& l) {
-  ByteWriter root;
-  root.PutU32(uint32_t(l.NumSegments()));
-  root.PutF64(l.Length());
-  PutRect(&root, l.BoundingBox());
-  ByteWriter arr;
-  // Halfsegment array, sorted (Section 4.1).
-  for (const HalfSegment& h : l.HalfSegments()) {
-    PutSeg(&arr, h.seg);
-    arr.PutU8(h.left_dominating ? 1 : 0);
-  }
-  return FlatValue{root.Take(), {arr.Take()}};
-}
+FlatValue ToFlat(const Line& l) { return EncodeValue(l); }
 
-Result<Line> LineFromFlat(const FlatValue& f) {
-  if (f.arrays.size() != 1) return Status::InvalidArgument("line arity");
+Result<Line> LineFromFlat(const FlatView& f) {
+  MODB_RETURN_IF_ERROR(CheckArity(f, 1, "line"));
   ByteReader root(f.root);
   uint32_t n;
   MODB_RETURN_IF_ERROR(root.GetU32(&n));
@@ -302,44 +757,14 @@ Result<Line> LineFromFlat(const FlatValue& f) {
     MODB_RETURN_IF_ERROR(arr.GetU8(&ldp));
     if (ldp) segs.push_back(*s);
   }
+  MODB_RETURN_IF_ERROR(CheckConsumed(arr, "line array"));
   return Line::Make(std::move(segs));
 }
 
-FlatValue ToFlat(const Region& reg) {
-  ByteWriter root;
-  root.PutU32(uint32_t(reg.halfsegments().size()));
-  root.PutU32(uint32_t(reg.NumCycles()));
-  root.PutU32(uint32_t(reg.NumFaces()));
-  root.PutF64(reg.Area());
-  root.PutF64(reg.Perimeter());
-  PutRect(&root, reg.BoundingBox());
-  ByteWriter hs;
-  for (const HalfSegment& h : reg.halfsegments()) {
-    PutSeg(&hs, h.seg);
-    hs.PutU8(h.left_dominating ? 1 : 0);
-    hs.PutU8(h.inside_above ? 1 : 0);
-    hs.PutI32(h.cycle);
-    hs.PutI32(h.face);
-    hs.PutI32(h.next_in_cycle);
-  }
-  ByteWriter cy;
-  for (const CycleRecord& c : reg.cycles()) {
-    cy.PutI32(c.first_halfsegment);
-    cy.PutI32(c.next_cycle_in_face);
-    cy.PutI32(c.face);
-    cy.PutU8(c.is_hole ? 1 : 0);
-    cy.PutI32(c.size);
-  }
-  ByteWriter fa;
-  for (const FaceRecord& fc : reg.faces()) {
-    fa.PutI32(fc.first_cycle);
-    fa.PutI32(fc.num_holes);
-  }
-  return FlatValue{root.Take(), {hs.Take(), cy.Take(), fa.Take()}};
-}
+FlatValue ToFlat(const Region& reg) { return EncodeValue(reg); }
 
-Result<Region> RegionFromFlat(const FlatValue& f) {
-  if (f.arrays.size() != 3) return Status::InvalidArgument("region arity");
+Result<Region> RegionFromFlat(const FlatView& f) {
+  MODB_RETURN_IF_ERROR(CheckArity(f, 3, "region"));
   ByteReader root(f.root);
   uint32_t n_hs, n_cy, n_fa;
   double area, perimeter;
@@ -393,16 +818,10 @@ Result<Region> RegionFromFlat(const FlatValue& f) {
 
 // -- range types -------------------------------------------------------------
 
-FlatValue ToFlat(const Periods& p) {
-  ByteWriter root;
-  root.PutU32(uint32_t(p.NumIntervals()));
-  ByteWriter arr;
-  for (const TimeInterval& iv : p.intervals()) PutInterval(&arr, iv);
-  return FlatValue{root.Take(), {arr.Take()}};
-}
+FlatValue ToFlat(const Periods& p) { return EncodeValue(p); }
 
-Result<Periods> PeriodsFromFlat(const FlatValue& f) {
-  if (f.arrays.size() != 1) return Status::InvalidArgument("periods arity");
+Result<Periods> PeriodsFromFlat(const FlatView& f) {
+  MODB_RETURN_IF_ERROR(CheckArity(f, 1, "periods"));
   ByteReader root(f.root);
   uint32_t n;
   MODB_RETURN_IF_ERROR(root.GetU32(&n));
@@ -415,6 +834,7 @@ Result<Periods> PeriodsFromFlat(const FlatValue& f) {
     if (!iv.ok()) return iv.status();
     ivs.push_back(*iv);
   }
+  MODB_RETURN_IF_ERROR(CheckConsumed(arr, "periods array"));
   return Periods::FromIntervals(std::move(ivs));
 }
 
@@ -422,34 +842,30 @@ Result<Periods> PeriodsFromFlat(const FlatValue& f) {
 
 namespace {
 
-// Fixed-size-unit mappings: one `units` array (Figure 7 with k = 0
-// subarrays).
-template <typename U, typename PutUnit>
-FlatValue FixedMappingToFlat(const Mapping<U>& m, PutUnit put) {
-  ByteWriter root;
-  root.PutU32(uint32_t(m.NumUnits()));
-  ByteWriter units;
-  for (const U& u : m.units()) {
-    PutInterval(&units, u.interval());
-    put(&units, u);
-  }
-  return FlatValue{root.Take(), {units.Take()}};
-}
-
+// Every unit record is the interval plus `value_bytes`, so one length
+// check covers every read: the units array must hold exactly n records.
 template <typename U, typename GetUnit>
-Result<Mapping<U>> FixedMappingFromFlat(const FlatValue& f, GetUnit get) {
-  if (f.arrays.size() != 1) return Status::InvalidArgument("mapping arity");
+Result<Mapping<U>> FixedMappingFromFlat(const FlatView& f,
+                                        std::size_t value_bytes, GetUnit get) {
+  MODB_RETURN_IF_ERROR(CheckArity(f, 1, "mapping"));
   ByteReader root(f.root);
   uint32_t n;
   MODB_RETURN_IF_ERROR(root.GetU32(&n));
-  MODB_RETURN_IF_ERROR(CheckCount(n, f.arrays[0].size(), kIntervalBytes));
-  ByteReader units(f.arrays[0]);
+  const std::string_view units = f.arrays[0];
+  MODB_RETURN_IF_ERROR(CheckCount(n, units.size(), kIntervalBytes));
+  const std::size_t bytes = std::size_t(n) * (kIntervalBytes + value_bytes);
+  if (units.size() < bytes) return Status::OutOfRange("short read");
+  if (units.size() > bytes) {
+    return Status::InvalidArgument(std::to_string(units.size() - bytes) +
+                                   " unconsumed bytes in units array");
+  }
+  RecordReader r(units.data());
   std::vector<U> out;
   out.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    Result<TimeInterval> iv = GetInterval(&units);
+    Result<TimeInterval> iv = GetInterval(&r);
     if (!iv.ok()) return iv.status();
-    Result<U> u = get(&units, *iv);
+    Result<U> u = get(&r, *iv);
     if (!u.ok()) return u.status();
     out.push_back(std::move(*u));
   }
@@ -458,120 +874,63 @@ Result<Mapping<U>> FixedMappingFromFlat(const FlatValue& f, GetUnit get) {
 
 }  // namespace
 
-FlatValue ToFlat(const MovingBool& m) {
-  return FixedMappingToFlat(m, [](ByteWriter* w, const UBool& u) {
-    w->PutU8(u.value() ? 1 : 0);
-  });
-}
+FlatValue ToFlat(const MovingBool& m) { return EncodeValue(m); }
 
-Result<MovingBool> MovingBoolFromFlat(const FlatValue& f) {
+Result<MovingBool> MovingBoolFromFlat(const FlatView& f) {
   return FixedMappingFromFlat<UBool>(
-      f, [](ByteReader* r, TimeInterval iv) -> Result<UBool> {
-        uint8_t v;
-        MODB_RETURN_IF_ERROR(r->GetU8(&v));
-        return UBool::Make(iv, v != 0);
+      f, 1, [](RecordReader* r, TimeInterval iv) {
+        return UBool::Make(iv, r->Get<uint8_t>() != 0);
       });
 }
 
-FlatValue ToFlat(const MovingInt& m) {
-  return FixedMappingToFlat(
-      m, [](ByteWriter* w, const UInt& u) { w->PutI64(u.value()); });
-}
+FlatValue ToFlat(const MovingInt& m) { return EncodeValue(m); }
 
-Result<MovingInt> MovingIntFromFlat(const FlatValue& f) {
+Result<MovingInt> MovingIntFromFlat(const FlatView& f) {
   return FixedMappingFromFlat<UInt>(
-      f, [](ByteReader* r, TimeInterval iv) -> Result<UInt> {
-        int64_t v;
-        MODB_RETURN_IF_ERROR(r->GetI64(&v));
-        return UInt::Make(iv, v);
+      f, 8, [](RecordReader* r, TimeInterval iv) {
+        return UInt::Make(iv, r->Get<int64_t>());
       });
 }
 
 Result<FlatValue> ToFlat(const MovingString& m) {
-  for (const UString& u : m.units()) {
-    if (!FitsFlatString(u.value())) {
-      return Status::InvalidArgument("string exceeds fixed attribute length");
-    }
-  }
-  return FixedMappingToFlat(m, [](ByteWriter* w, const UString& u) {
-    std::string padded(kMaxStringLength, '\0');
-    padded.replace(0, u.value().size(), u.value());
-    w->PutU8(uint8_t(u.value().size()));
-    w->PutBytes(padded);
-  });
+  MODB_RETURN_IF_ERROR(CheckStrings(m));
+  return EncodeValue(m);
 }
 
-Result<MovingString> MovingStringFromFlat(const FlatValue& f) {
+Result<MovingString> MovingStringFromFlat(const FlatView& f) {
   return FixedMappingFromFlat<UString>(
-      f, [](ByteReader* r, TimeInterval iv) -> Result<UString> {
-        uint8_t len;
-        MODB_RETURN_IF_ERROR(r->GetU8(&len));
-        std::string padded;
-        MODB_RETURN_IF_ERROR(r->GetBytes(kMaxStringLength, &padded));
-        if (len > kMaxStringLength) {
-          return Status::InvalidArgument("bad string length");
-        }
-        return UString::Make(iv, padded.substr(0, len));
+      f, kStringBytes, [](RecordReader* r, TimeInterval iv) -> Result<UString> {
+        Result<std::string> s = GetPaddedString(r);
+        MODB_RETURN_IF_ERROR(s.status());
+        return UString::Make(iv, *std::move(s));
       });
 }
 
-FlatValue ToFlat(const MovingReal& m) {
-  return FixedMappingToFlat(m, [](ByteWriter* w, const UReal& u) {
-    w->PutF64(u.a());
-    w->PutF64(u.b());
-    w->PutF64(u.c());
-    w->PutU8(u.root() ? 1 : 0);
-  });
-}
+FlatValue ToFlat(const MovingReal& m) { return EncodeValue(m); }
 
-Result<MovingReal> MovingRealFromFlat(const FlatValue& f) {
+Result<MovingReal> MovingRealFromFlat(const FlatView& f) {
   return FixedMappingFromFlat<UReal>(
-      f, [](ByteReader* r, TimeInterval iv) -> Result<UReal> {
-        double a, b, c;
-        uint8_t root;
-        MODB_RETURN_IF_ERROR(r->GetF64(&a));
-        MODB_RETURN_IF_ERROR(r->GetF64(&b));
-        MODB_RETURN_IF_ERROR(r->GetF64(&c));
-        MODB_RETURN_IF_ERROR(r->GetU8(&root));
-        return UReal::Make(iv, a, b, c, root != 0);
+      f, kURealBytes, [](RecordReader* r, TimeInterval iv) {
+        const double a = r->Get<double>();
+        const double b = r->Get<double>();
+        const double c = r->Get<double>();
+        return UReal::Make(iv, a, b, c, r->Get<uint8_t>() != 0);
       });
 }
 
-FlatValue ToFlat(const MovingPoint& m) {
-  return FixedMappingToFlat(m, [](ByteWriter* w, const UPoint& u) {
-    PutMotion(w, u.motion());
-  });
-}
+FlatValue ToFlat(const MovingPoint& m) { return EncodeValue(m); }
 
-Result<MovingPoint> MovingPointFromFlat(const FlatValue& f) {
+Result<MovingPoint> MovingPointFromFlat(const FlatView& f) {
   return FixedMappingFromFlat<UPoint>(
-      f, [](ByteReader* r, TimeInterval iv) -> Result<UPoint> {
-        LinearMotion mo;
-        MODB_RETURN_IF_ERROR(GetMotion(r, &mo));
-        return UPoint::Make(iv, mo);
+      f, kMotionBytes, [](RecordReader* r, TimeInterval iv) {
+        return UPoint::Make(iv, GetMotion(r));
       });
 }
 
-FlatValue ToFlat(const MovingPoints& m) {
-  // Figure 7 layout: a units array with subarray references into one
-  // shared motions array.
-  ByteWriter root;
-  root.PutU32(uint32_t(m.NumUnits()));
-  ByteWriter units;
-  ByteWriter motions;
-  uint32_t offset = 0;
-  for (const UPoints& u : m.units()) {
-    PutInterval(&units, u.interval());
-    units.PutU32(offset);
-    units.PutU32(uint32_t(u.Size()));
-    for (const LinearMotion& mo : u.motions()) PutMotion(&motions, mo);
-    offset += uint32_t(u.Size());
-  }
-  return FlatValue{root.Take(), {units.Take(), motions.Take()}};
-}
+FlatValue ToFlat(const MovingPoints& m) { return EncodeValue(m); }
 
-Result<MovingPoints> MovingPointsFromFlat(const FlatValue& f) {
-  if (f.arrays.size() != 2) return Status::InvalidArgument("mpoints arity");
+Result<MovingPoints> MovingPointsFromFlat(const FlatView& f) {
+  MODB_RETURN_IF_ERROR(CheckArity(f, 2, "mpoints"));
   ByteReader root(f.root);
   uint32_t n;
   MODB_RETURN_IF_ERROR(root.GetU32(&n));
@@ -604,24 +963,10 @@ Result<MovingPoints> MovingPointsFromFlat(const FlatValue& f) {
   return MovingPoints::Make(std::move(out));
 }
 
-FlatValue ToFlat(const MovingLine& m) {
-  ByteWriter root;
-  root.PutU32(uint32_t(m.NumUnits()));
-  ByteWriter units;
-  ByteWriter msegs;
-  uint32_t offset = 0;
-  for (const ULine& u : m.units()) {
-    PutInterval(&units, u.interval());
-    units.PutU32(offset);
-    units.PutU32(uint32_t(u.Size()));
-    for (const MSeg& s : u.msegs()) PutMSeg(&msegs, s);
-    offset += uint32_t(u.Size());
-  }
-  return FlatValue{root.Take(), {units.Take(), msegs.Take()}};
-}
+FlatValue ToFlat(const MovingLine& m) { return EncodeValue(m); }
 
-Result<MovingLine> MovingLineFromFlat(const FlatValue& f) {
-  if (f.arrays.size() != 2) return Status::InvalidArgument("mline arity");
+Result<MovingLine> MovingLineFromFlat(const FlatView& f) {
+  MODB_RETURN_IF_ERROR(CheckArity(f, 2, "mline"));
   ByteReader root(f.root);
   uint32_t n;
   MODB_RETURN_IF_ERROR(root.GetU32(&n));
@@ -653,40 +998,10 @@ Result<MovingLine> MovingLineFromFlat(const FlatValue& f) {
   return MovingLine::Make(std::move(out));
 }
 
-FlatValue ToFlat(const MovingRegion& m) {
-  // Figure 7 + Section 4.2: units reference mfaces, which reference
-  // mcycles, which reference runs of the shared msegments array.
-  ByteWriter root;
-  root.PutU32(uint32_t(m.NumUnits()));
-  ByteWriter units, mfaces, mcycles, msegs;
-  uint32_t face_off = 0, cycle_off = 0, mseg_off = 0;
-  for (const URegion& u : m.units()) {
-    PutInterval(&units, u.interval());
-    units.PutU32(face_off);
-    units.PutU32(uint32_t(u.faces().size()));
-    for (const MFace& fc : u.faces()) {
-      mfaces.PutU32(cycle_off);
-      mfaces.PutU32(uint32_t(1 + fc.holes.size()));
-      auto put_cycle = [&](const MCycle& cyc, bool is_hole) {
-        mcycles.PutU32(mseg_off);
-        mcycles.PutU32(uint32_t(cyc.size()));
-        mcycles.PutU8(is_hole ? 1 : 0);
-        for (const MSeg& s : cyc) PutMSeg(&msegs, s);
-        mseg_off += uint32_t(cyc.size());
-        ++cycle_off;
-      };
-      put_cycle(fc.outer, false);
-      for (const MCycle& h : fc.holes) put_cycle(h, true);
-      ++face_off;
-    }
-  }
-  return FlatValue{
-      root.Take(),
-      {units.Take(), mfaces.Take(), mcycles.Take(), msegs.Take()}};
-}
+FlatValue ToFlat(const MovingRegion& m) { return EncodeValue(m); }
 
-Result<MovingRegion> MovingRegionFromFlat(const FlatValue& f) {
-  if (f.arrays.size() != 4) return Status::InvalidArgument("mregion arity");
+Result<MovingRegion> MovingRegionFromFlat(const FlatView& f) {
+  MODB_RETURN_IF_ERROR(CheckArity(f, 4, "mregion"));
   ByteReader root(f.root);
   uint32_t n;
   MODB_RETURN_IF_ERROR(root.GetU32(&n));
@@ -769,6 +1084,79 @@ Result<MovingRegion> MovingRegionFromFlat(const FlatValue& f) {
     out.push_back(URegion::MakeTrusted(*iv, std::move(faces)));
   }
   return MovingRegion::Make(std::move(out));
+}
+
+// -- attribute values --------------------------------------------------------
+
+Status AppendAttribute(std::string* out, const AttributeValue& value) {
+  return std::visit(
+      [out, &value](const auto& v) -> Status {
+        MODB_RETURN_IF_ERROR(CheckStrings(v));
+        const std::size_t at = out->size();
+        out->resize(at + 1 + BlobBytes(v));
+        char* p = out->data() + at;
+        *p = char(TypeOf(value));
+        BlobSink blob(p + 1);
+        Encode(&blob, v);
+        return Status::OK();
+      },
+      value);
+}
+
+std::size_t AttributeBytes(const AttributeValue& value) {
+  return std::visit([](const auto& v) { return 1 + BlobBytes(v); }, value);
+}
+
+Result<AttributeValue> ParseAttribute(std::string_view blob) {
+  ByteReader r(blob);
+  uint8_t tag;
+  MODB_RETURN_IF_ERROR(r.GetU8(&tag));
+  if (tag > uint8_t(AttributeType::kMovingRegion)) {
+    return Status::InvalidArgument("bad attribute type tag");
+  }
+  Result<FlatView> flat = ParseFlatView(blob.substr(1));
+  MODB_RETURN_IF_ERROR(flat.status());
+  auto wrap = [](auto result) -> Result<AttributeValue> {
+    if (!result.ok()) return result.status();
+    return AttributeValue(std::move(*result));
+  };
+  switch (AttributeType(tag)) {
+    case AttributeType::kInt:
+      return wrap(IntFromFlat(*flat));
+    case AttributeType::kReal:
+      return wrap(RealFromFlat(*flat));
+    case AttributeType::kBool:
+      return wrap(BoolFromFlat(*flat));
+    case AttributeType::kString:
+      return wrap(StringFromFlat(*flat));
+    case AttributeType::kPoint:
+      return wrap(PointFromFlat(*flat));
+    case AttributeType::kPoints:
+      return wrap(PointsFromFlat(*flat));
+    case AttributeType::kLine:
+      return wrap(LineFromFlat(*flat));
+    case AttributeType::kRegion:
+      return wrap(RegionFromFlat(*flat));
+    case AttributeType::kPeriods:
+      return wrap(PeriodsFromFlat(*flat));
+    case AttributeType::kMovingBool:
+      return wrap(MovingBoolFromFlat(*flat));
+    case AttributeType::kMovingInt:
+      return wrap(MovingIntFromFlat(*flat));
+    case AttributeType::kMovingString:
+      return wrap(MovingStringFromFlat(*flat));
+    case AttributeType::kMovingReal:
+      return wrap(MovingRealFromFlat(*flat));
+    case AttributeType::kMovingPoint:
+      return wrap(MovingPointFromFlat(*flat));
+    case AttributeType::kMovingPoints:
+      return wrap(MovingPointsFromFlat(*flat));
+    case AttributeType::kMovingLine:
+      return wrap(MovingLineFromFlat(*flat));
+    case AttributeType::kMovingRegion:
+      return wrap(MovingRegionFromFlat(*flat));
+  }
+  return Status::InvalidArgument("bad attribute type tag");
 }
 
 // -- AttributeStore ----------------------------------------------------------

@@ -108,9 +108,13 @@ class Mapping {
 
   /// Validating factory: enforces the Mapping(S) constraints.
   static Result<Mapping> Make(std::vector<U> units) {
-    std::sort(units.begin(), units.end(), [](const U& a, const U& b) {
+    auto by_interval = [](const U& a, const U& b) {
       return a.interval() < b.interval();
-    });
+    };
+    // Decoded and generated units arrive sorted; skip the sort then.
+    if (!std::is_sorted(units.begin(), units.end(), by_interval)) {
+      std::sort(units.begin(), units.end(), by_interval);
+    }
     for (std::size_t i = 0; i + 1 < units.size(); ++i) {
       const TimeInterval& u = units[i].interval();
       const TimeInterval& v = units[i + 1].interval();

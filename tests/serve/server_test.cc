@@ -252,6 +252,60 @@ TEST_F(ServerTest, OversizedBatchRepliesTypedAndServerKeepsServing) {
   EXPECT_EQ(server_->admission().in_use(), 0);
 }
 
+// A rows reply whose encoding would pass the 64 MiB frame cap is a
+// typed, non-retryable kInvalidArgument naming the cap, answered on the
+// same connection before the reply buffer is allocated — not a dropped
+// connection that RetryingClient would answer by resending the same
+// oversized query.
+TEST_F(ServerTest, OverCapRowsReplyIsTypedAndNotRetried) {
+  StartServer();
+  // One mstring of ~1M units: 67 bytes per unit on the wire, past
+  // kMaxFramePayload in total.
+  constexpr std::size_t kUnits = kMaxFramePayload / 67 + 1000;
+  std::vector<UString> units;
+  units.reserve(kUnits);
+  for (std::size_t i = 0; i < kUnits; ++i) {
+    units.push_back(
+        *UString::Make(*TimeInterval::Make(double(i), double(i) + 1, true,
+                                           false),
+                       i % 2 == 0 ? "even" : "odd"));
+  }
+  Relation big("big", Schema({{"state", AttributeType::kMovingString}}));
+  ASSERT_TRUE(big.Insert({*MovingString::Make(std::move(units))}).ok());
+  ASSERT_TRUE(db_.Register(std::move(big)).ok());
+  QueryRequest all;
+  all.kind = QueryRequest::Kind::kSelect;
+  all.relation = "big";
+
+  Client client = MustConnect();
+  Result<Client::Reply> reply = client.Query(all);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->status.code(), StatusCode::kInvalidArgument)
+      << reply->status;
+  EXPECT_NE(reply->status.message().find(std::to_string(kMaxFramePayload)),
+            std::string::npos)
+      << reply->status;
+  EXPECT_FALSE(IsRetryableStatus(reply->status));
+  EXPECT_TRUE(reply->result_block.empty());
+
+  // Same connection, next query: served normally.
+  Result<Client::Reply> next = client.Query(Q1Select());
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_TRUE(next->status.ok()) << next->status;
+  EXPECT_FALSE(next->result_block.empty());
+
+  RetryPolicy policy;
+  policy.base_backoff_ms = 1;
+  RetryingClient retrying("127.0.0.1", server_->port(), ClientOptions(),
+                          policy);
+  Result<Client::Reply> once = retrying.Query(all);
+  ASSERT_TRUE(once.ok()) << once.status();
+  EXPECT_EQ(once->status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(retrying.retries(), 0u);
+  EXPECT_EQ(retrying.reconnects(), 1u);
+  EXPECT_EQ(server_->admission().in_use(), 0);
+}
+
 TEST_F(ServerTest, EightConcurrentClientsAreByteIdentical) {
   StartServer();
   const QueryRequest base = Q1Select();
@@ -739,7 +793,11 @@ TEST_F(ServerTest, ClientClosingMidReplyDoesNotKillTheServer) {
     Result<Client::Reply> reply = probe->Query(Q1Select());
     return reply.ok() && reply->status.ok();
   }));
-  EXPECT_EQ(server_->admission().in_use(), 0);
+  // The abandoned connection's thread may still be running one of the
+  // pipelined queries when the probe returns; its admission must be
+  // released once the failed write ends that connection.
+  EXPECT_TRUE(
+      WaitUntil([&] { return server_->admission().in_use() == 0; }));
 }
 
 TEST_F(ServerTest, ClientReadTimeoutSurfacesTypedNotHang) {

@@ -7,14 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <cstdint>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "db/modb.h"
 #include "db/relation.h"
+#include "serve/net.h"
 #include "spatial/point.h"
+#include "spatial/region.h"
 #include "temporal/moving.h"
 
 namespace modb {
@@ -338,6 +343,28 @@ TEST(ResultBlockCodec, RejectsGeometryOverflowAndBadFlagBytes) {
   EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A tuple count the block cannot hold is rejected before any tuple is
+// built: every value costs at least its 4-byte length prefix, and a
+// schema without attributes carries no tuples (they would cost no
+// bytes, so the count alone would drive the allocation).
+TEST(ResultBlockCodec, RejectsTupleCountsTheBlockCannotHold) {
+  for (std::uint32_t attrs : {0u, 1u}) {
+    WireWriter w;
+    w.U8(std::uint8_t(QueryResult::Payload::kRows));
+    w.Str("r");
+    w.U32(attrs);
+    if (attrs == 1) {
+      w.Str("a");
+      w.U8(std::uint8_t(AttributeType::kInt));
+    }
+    w.U32(0x7fffffff);
+    w.U32(0);
+    Result<QueryResult> d = DecodeResultBlock(w.bytes());
+    ASSERT_FALSE(d.ok()) << attrs;
+    EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument) << attrs;
+  }
+}
+
 TEST(ResultBlockCodec, EveryStrictPrefixFailsTyped) {
   QueryResult xy;
   xy.payload = QueryResult::Payload::kXY;
@@ -589,6 +616,132 @@ TEST(Versioning, FrameHeaderRoundTripsEveryAcceptedVersion) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden bytes: the exact result-block, reply and frame bytes of fixed
+// inputs, pinned as size + FNV-1a 64 digest. Perfbench's mirror and
+// loadgen --verify compare against blocks from this same encoder, so
+// they cannot see an encoding change; these digests can. They must not
+// change unless the wire version does.
+// ---------------------------------------------------------------------------
+
+std::uint64_t Fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (char c : bytes) {
+    h ^= std::uint8_t(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct Golden {
+  std::size_t size;
+  std::uint64_t digest;
+};
+
+void ExpectGolden(std::string_view bytes, Golden want, const char* what) {
+  EXPECT_EQ(bytes.size(), want.size) << what;
+  EXPECT_EQ(Fnv1a64(bytes), want.digest)
+      << what << ": got {" << bytes.size() << "u, 0x" << std::hex
+      << Fnv1a64(bytes) << "ull}";
+}
+
+// Every attribute kind a reply carries in practice: base types, defined
+// and undefined strings, point, region (with a hole), periods, a
+// multi-unit mpoint and an mreal.
+QueryResult GoldenRows() {
+  Relation rel("golden", Schema({{"i", AttributeType::kInt},
+                                 {"r", AttributeType::kReal},
+                                 {"b", AttributeType::kBool},
+                                 {"s", AttributeType::kString},
+                                 {"p", AttributeType::kPoint},
+                                 {"g", AttributeType::kRegion},
+                                 {"ps", AttributeType::kPeriods},
+                                 {"mp", AttributeType::kMovingPoint},
+                                 {"mr", AttributeType::kMovingReal}}));
+  const Region region = *Region::FromRings(
+      {Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10)},
+      {{Point(2, 2), Point(4, 2), Point(4, 4), Point(2, 4)}});
+  const Periods periods = Periods::FromIntervals(
+      {*TimeInterval::Make(0, 1, true, false),
+       *TimeInterval::Make(2, 3, false, true)});
+  const MovingPoint mp = *MovingPoint::Make(
+      {*UPoint::FromEndpoints(TI(0, 1), Point(0, 0), Point(1, 2)),
+       *UPoint::FromEndpoints(*TimeInterval::Make(1, 2, false, true),
+                              Point(1, 2), Point(-3, 0.5))});
+  const MovingReal mr = *MovingReal::Make(
+      {*UReal::Make(TI(0, 4), 1.0, -2.0, 0.25, false),
+       *UReal::Make(*TimeInterval::Make(4, 5, false, false), 0, 0, 9, true)});
+  EXPECT_TRUE(rel.Insert({IntValue(-42), RealValue(3.25), BoolValue(true),
+                          StringValue{"Lufthansa"}, Point(1.5, -2.5), region,
+                          periods, mp, mr})
+                  .ok());
+  EXPECT_TRUE(rel.Insert({IntValue::Undefined(), RealValue::Undefined(),
+                          BoolValue::Undefined(), StringValue::Undefined(),
+                          Point(0, 0), Region(), Periods(), MovingPoint(),
+                          MovingReal()})
+                  .ok());
+  QueryResult result;
+  result.payload = QueryResult::Payload::kRows;
+  result.rows = std::move(rel);
+  result.stats.op = "select";
+  result.stats.tuples_in = 7;
+  result.stats.tuples_out = 2;
+  return result;
+}
+
+QueryResult GoldenXY() {
+  QueryResult result;
+  result.payload = QueryResult::Payload::kXY;
+  result.batch_tuples = 2;
+  result.batch_instants = 3;
+  result.xs = {1.5, -2, 0, 1e300, 4, 0.1};
+  result.ys = {6, 5.25, 0, -4, 3, 2};
+  result.defined = {1, 1, 0, 1, 1, 0};
+  return result;
+}
+
+QueryResult GoldenPresent() {
+  QueryResult result;
+  result.payload = QueryResult::Payload::kPresent;
+  result.batch_tuples = 3;
+  result.batch_instants = 3;
+  result.present = {1, 0, 0, 1, 1, 1, 0, 1, 0};
+  return result;
+}
+
+TEST(GoldenBytes, ResultBlocksAreUnchanged) {
+  Result<std::string> rows = EncodeResultBlock(GoldenRows());
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ExpectGolden(*rows, {1746u, 0x4b5b2b946e706d1bull}, "rows block");
+  Result<std::string> xy = EncodeResultBlock(GoldenXY());
+  ASSERT_TRUE(xy.ok()) << xy.status();
+  ExpectGolden(*xy, {119u, 0x9ee6b47b9fb258feull}, "xy block");
+  Result<std::string> present = EncodeResultBlock(GoldenPresent());
+  ASSERT_TRUE(present.ok()) << present.status();
+  ExpectGolden(*present, {26u, 0x33650e6e2d6f6aull}, "present block");
+}
+
+TEST(GoldenBytes, ReplyAndFrameAreUnchanged) {
+  const QueryResult rows = GoldenRows();
+  Result<std::string> reply = EncodeReply(Status::OK(), &rows);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ExpectGolden(*reply, {1806u, 0xfa6389cee54ca440ull}, "rows reply");
+
+  // The bytes a peer reads off the socket: header + payload, written by
+  // the frame writer the server uses.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::string frame(kFrameHeaderBytes + reply->size(), '\0');
+  std::thread reader([&] {
+    EXPECT_TRUE(ReadFull(fds[1], frame.data(), frame.size()).ok());
+  });
+  EXPECT_TRUE(WriteFrame(fds[0], FrameType::kReply, *reply).ok());
+  reader.join();
+  CloseFd(fds[0]);
+  CloseFd(fds[1]);
+  ExpectGolden(frame, {1818u, 0xd5aa7aa863037650ull}, "rows reply frame");
+}
+
+// ---------------------------------------------------------------------------
 // Fuzz: random garbage through every decoder. The contract is "typed
 // error or a valid decode", never a crash, hang, or over-read.
 // ---------------------------------------------------------------------------
@@ -648,28 +801,31 @@ TEST(WireFuzz, MutatedValidRequestsNeverCrash) {
   }
 }
 
+// Single-byte mutations of valid replies of every payload kind: the
+// in-place rows decoder (strings, a multi-unit mpoint, region, periods,
+// mreal), the bulk xy arrays and the present flags.
 TEST(WireFuzz, MutatedValidRepliesNeverCrash) {
-  QueryResult result;
-  result.payload = QueryResult::Payload::kXY;
-  result.batch_tuples = 2;
-  result.batch_instants = 2;
-  result.xs = {1, 2, 3, 4};
-  result.ys = {4, 3, 2, 1};
-  result.defined = {1, 1, 1, 0};
-  Result<std::string> payload = EncodeReply(Status::OK(), &result);
-  ASSERT_TRUE(payload.ok());
-  const std::string base = *payload;
+  const QueryResult results[] = {GoldenXY(), GoldenRows(), GoldenPresent()};
   std::mt19937_64 rng(777);
   std::uniform_int_distribution<int> byte(0, 255);
-  std::uniform_int_distribution<std::size_t> pos(0, base.size() - 1);
-  for (int iter = 0; iter < 2000; ++iter) {
-    std::string bytes = base;
-    bytes[pos(rng)] = char(byte(rng));
-    Result<WireReply> d = DecodeReply(bytes);
-    if (d.ok() && d->status.ok()) {
-      // An accepted OK reply must carry a decodable-or-rejected block —
-      // decoding it must not crash either way.
-      (void)DecodeResultBlock(d->result_block);
+  for (const QueryResult& result : results) {
+    Result<std::string> payload = EncodeReply(Status::OK(), &result);
+    ASSERT_TRUE(payload.ok());
+    const std::string base = *payload;
+    std::uniform_int_distribution<std::size_t> pos(0, base.size() - 1);
+    for (int iter = 0; iter < 2000; ++iter) {
+      std::string bytes = base;
+      bytes[pos(rng)] = char(byte(rng));
+      Result<WireReply> d = DecodeReply(bytes);
+      if (d.ok() && d->status.ok()) {
+        // An accepted OK reply must carry a decodable-or-rejected block,
+        // and an accepted block must encode again.
+        Result<QueryResult> back = DecodeResultBlock(d->result_block);
+        if (back.ok()) {
+          Result<std::string> again = EncodeResultBlock(*back);
+          ASSERT_TRUE(again.ok()) << again.status();
+        }
+      }
     }
   }
 }

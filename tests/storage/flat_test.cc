@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <type_traits>
+#include <variant>
+#include <vector>
 
 #include "gen/region_gen.h"
 #include "gen/trajectory_gen.h"
@@ -195,6 +198,130 @@ TEST(FlatMoving, RegionRoundTripWithHoles) {
     double ba = back->unit(*back->FindUnit(t)).ValueAt(t).Area();
     EXPECT_NEAR(ba, oa, 1e-9);
   }
+}
+
+// One value of every attribute type, each with real arrays.
+std::vector<AttributeValue> EveryKind() {
+  std::mt19937_64 rng(11);
+  TrajectoryOptions traj;
+  traj.num_units = 7;
+  RegionGenOptions shape;
+  shape.num_vertices = 9;
+  shape.with_hole = true;
+  MovingRegionOptions mro;
+  mro.shape = shape;
+  mro.num_units = 2;
+  const MSeg mseg =
+      *MSeg::FromEndSegments(0, *Seg::Make(Point(0, 0), Point(1, 0)), 10,
+                             *Seg::Make(Point(5, 5), Point(6, 5)));
+  return {
+      IntValue(-42),
+      RealValue::Undefined(),
+      BoolValue(true),
+      StringValue(std::string("Lufthansa")),
+      Point(1.5, -2.5),
+      Points::FromVector({{1, 2}, {3, 4}}),
+      *Line::Make({*Seg::Make(Point(0, 0), Point(1, 1))}),
+      *GenerateRegion(rng, shape),
+      Periods::FromIntervals({TI(0, 1, true, false), TI(2, 3)}),
+      *MovingBool::Make({*UBool::Make(TI(0, 1), true)}),
+      *MovingInt::Make({*UInt::Make(TI(0, 5), 7)}),
+      *MovingString::Make({*UString::Make(TI(0, 1), "taxi")}),
+      *MovingReal::Make({*UReal::Make(TI(0, 1), 1, 2, 3, false)}),
+      *RandomWalkPoint(rng, traj),
+      *MovingPoints::Make({*UPoints::Make(
+          TI(0, 1), {LinearMotion{0, 1, 0, 0}, LinearMotion{5, 0, 5, 0}})}),
+      *MovingLine::Make({*ULine::Make(TI(0, 10), {mseg})}),
+      *GenerateMovingRegion(rng, mro),
+  };
+}
+
+// The in-place attribute encoder, the FlatValue encoder and the blob
+// packer are one layout: AppendAttribute must write exactly the tag plus
+// SerializeFlat(ToFlat(v)), and AttributeBytes must predict its size.
+TEST(FlatAttribute, AppendMatchesFlatValueForEveryKind) {
+  const std::vector<AttributeValue> values = EveryKind();
+  ASSERT_EQ(values.size(), std::variant_size_v<AttributeValue>);
+  for (const AttributeValue& v : values) {
+    const std::string expect =
+        std::string(1, char(TypeOf(v))) +
+        std::visit(
+            [](const auto& x) {
+              if constexpr (std::is_same_v<decltype(ToFlat(x)), FlatValue>) {
+                return SerializeFlat(ToFlat(x));
+              } else {
+                return SerializeFlat(*ToFlat(x));
+              }
+            },
+            v);
+    std::string out = "prefix";
+    ASSERT_TRUE(AppendAttribute(&out, v).ok());
+    EXPECT_EQ(out.substr(6), expect) << AttributeTypeName(TypeOf(v));
+    EXPECT_EQ(AttributeBytes(v), expect.size()) << AttributeTypeName(TypeOf(v));
+    Result<AttributeValue> back = ParseAttribute(expect);
+    ASSERT_TRUE(back.ok()) << AttributeTypeName(TypeOf(v)) << back.status();
+    EXPECT_EQ(TypeOf(*back), TypeOf(v));
+  }
+  // A too-long string appends nothing.
+  std::string out = "prefix";
+  EXPECT_EQ(AppendAttribute(&out, StringValue(std::string(100, 'x'))).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(out, "prefix");
+}
+
+// Bytes no writer produces are corruption, not padding: the decoders
+// read a fixed record or a fixed-unit array to its end, so the
+// FlatValue path and the in-place attribute path accept exactly the
+// blobs the writers make.
+TEST(FlatStrict, UnconsumedArrayBytesAreRejected) {
+  std::mt19937_64 rng(9);
+  TrajectoryOptions opts;
+  opts.num_units = 5;
+  FlatValue mp = ToFlat(*RandomWalkPoint(rng, opts));
+  mp.arrays[0].append(7, '\0');
+  EXPECT_EQ(MovingPointFromFlat(mp).status().code(),
+            StatusCode::kInvalidArgument);
+  const std::string blob =
+      std::string(1, char(AttributeType::kMovingPoint)) + SerializeFlat(mp);
+  EXPECT_EQ(ParseAttribute(blob).status().code(),
+            StatusCode::kInvalidArgument);
+
+  FlatValue mr = ToFlat(*MovingReal::Make({*UReal::Make(TI(0, 1), 1, 2, 3,
+                                                        false)}));
+  mr.arrays[0].push_back('\0');
+  EXPECT_EQ(MovingRealFromFlat(mr).status().code(),
+            StatusCode::kInvalidArgument);
+  FlatValue periods = ToFlat(Periods::FromIntervals({TI(0, 1)}));
+  periods.arrays[0].append(3, '\0');
+  EXPECT_EQ(PeriodsFromFlat(periods).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(FlatStrict, UnconsumedRootBytesAreRejected) {
+  FlatValue s = *ToFlat(StringValue(std::string("LH")));
+  s.root.append(3, 'x');
+  EXPECT_EQ(StringFromFlat(s).status().code(), StatusCode::kInvalidArgument);
+  const std::string blob =
+      std::string(1, char(AttributeType::kString)) + SerializeFlat(s);
+  EXPECT_EQ(ParseAttribute(blob).status().code(),
+            StatusCode::kInvalidArgument);
+
+  FlatValue i = ToFlat(IntValue(7));
+  i.root.push_back('\0');
+  EXPECT_EQ(IntFromFlat(i).status().code(), StatusCode::kInvalidArgument);
+  FlatValue r = ToFlat(RealValue(1.5));
+  r.root.push_back('\0');
+  EXPECT_EQ(RealFromFlat(r).status().code(), StatusCode::kInvalidArgument);
+  FlatValue b = ToFlat(BoolValue(false));
+  b.root.push_back('\0');
+  EXPECT_EQ(BoolFromFlat(b).status().code(), StatusCode::kInvalidArgument);
+  FlatValue p = ToFlat(Point(1, 2));
+  p.root.push_back('\0');
+  EXPECT_EQ(PointFromFlat(p).status().code(), StatusCode::kInvalidArgument);
+  // A base value carries no database arrays.
+  FlatValue extra = ToFlat(IntValue(7));
+  extra.arrays.push_back("x");
+  EXPECT_EQ(IntFromFlat(extra).status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(AttributeStoreTest, SmallArraysInline) {
