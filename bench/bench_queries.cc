@@ -1,10 +1,15 @@
 // Experiments Q1/Q2 (Section 2): the two example queries on the planes
 // relation, plus the D4 ablation (unit bounding cubes + R-tree for the
-// spatio-temporal join), per-period window aggregates over the fleet as
-// a function of the window count, the two batch query kinds, and the
-// wire codec's result blocks for those replies.
+// spatio-temporal join), the live self join as a function of history
+// length, per-period window aggregates over the fleet as a function of
+// the window count, the two batch query kinds, and the wire codec's
+// result blocks for those replies.
 
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "db/modb.h"
 #include "db/query.h"
@@ -151,6 +156,67 @@ void BM_Q2_IndexJoin_Db(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Q2_IndexJoin_Db)->Arg(1024)->Unit(benchmark::kMillisecond);
+
+// The live_ingest join as served: Db::Run of a distinct-pair self index
+// join at distance 50 over a live relation of 16 random-walk objects,
+// each `state.range(0)` fixes deep (one fix per time unit, steps of up
+// to 10 per axis, objects on a 4-wide grid 1000 apart), probing the
+// base/delta/mem layers. Records join cost as a function of history
+// length.
+void BM_LiveIndexJoin_Db(benchmark::State& state) {
+  constexpr int kObjects = 16;
+  const int depth = int(state.range(0));
+  Db db;
+  if (!db.RegisterLive("fleet").ok()) {
+    state.SkipWithError("registering the live relation failed");
+    return;
+  }
+  std::uint64_t rng = 7;
+  auto step = [&rng] {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return double(std::int64_t((rng >> 33) % 2001) - 1000) / 100.0;
+  };
+  std::vector<double> xs, ys;
+  for (int o = 0; o < kObjects; ++o) {
+    xs.push_back((o % 4) * 1000.0);
+    ys.push_back((o / 4) * 1000.0);
+  }
+  MutationRequest batch;
+  batch.relation = "fleet";
+  for (int t = 0; t < depth; ++t) {
+    for (int o = 0; o < kObjects; ++o) {
+      xs[std::size_t(o)] += step();
+      ys[std::size_t(o)] += step();
+      batch.fixes.push_back({"obj" + std::to_string(o), double(t),
+                             xs[std::size_t(o)], ys[std::size_t(o)]});
+    }
+    if (batch.fixes.size() >= 1024 || t + 1 == depth) {
+      if (!db.Apply(batch).ok()) {
+        state.SkipWithError("ingesting the fleet failed");
+        return;
+      }
+      batch.fixes.clear();
+    }
+  }
+  QueryRequest q;
+  q.kind = QueryRequest::Kind::kIndexJoin;
+  q.relation = "fleet";
+  q.attr = "trail";
+  q.join_relation = "fleet";
+  q.join_attr = "trail";
+  q.distance = 50;
+  q.distinct_pairs = true;
+  for (auto _ : state) {
+    Result<QueryResult> r = db.Run(q);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_LiveIndexJoin_Db)->Arg(256)->Arg(2048)->Arg(8192)
+    ->Unit(benchmark::kMillisecond);
 
 // Sliding window aggregates (width = 2 × step) over the day through
 // Db::Run on 1024 flights, with a 5000 × 5000 qualification rect —

@@ -482,6 +482,9 @@ Result<QueryResult> Db::Run(const QueryRequest& req,
         join.expand = req.distance;
         join.pred = EverCloserPred(*outer_slot, *inner_slot, req.distance,
                                    req.distinct_pairs);
+        // The predicate rejects every j <= i of a distinct-pairs join,
+        // so the probe may drop those pairs unseen.
+        join.distinct_pairs = req.distinct_pairs;
         if (req.kind == QueryRequest::Kind::kJoin) {
           join.algorithm = exec::LogicalQuery::JoinSpec::Algorithm::kNestedLoop;
         } else {
@@ -489,8 +492,9 @@ Result<QueryResult> Db::Run(const QueryRequest& req,
           if (inner.live != nullptr &&
               *inner_slot == ingest::LiveRelation::kTrailSlot) {
             // Live inner: probe the base/delta/mem stack instead of
-            // building a throwaway tree. The probe's sort+dedupe makes
-            // the layering invisible in the output.
+            // building a throwaway tree. The probe collects a set of
+            // distinct candidates, so the layering is invisible in the
+            // output.
             join.layers = inner.live->View();
           } else {
             auto tree = inner.indexes.find(*inner_slot);

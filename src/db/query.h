@@ -10,6 +10,7 @@
 #ifndef MODB_DB_QUERY_H_
 #define MODB_DB_QUERY_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -55,12 +56,19 @@ Result<Relation> NestedLoopJoin(
 /// relation (the tree stays valid as long as `b` is unchanged).
 Result<RTree3D> BuildMovingPointIndex(const Relation& b, int attr_b);
 
-/// Reusable per-probe buffers for the index join's candidate
-/// collection. One instance per worker chunk keeps the probe loop
-/// allocation-free after warmup; operators manage these internally, and
-/// callers driving RTree3D::QueryVisit directly can reuse one too.
+/// Reusable per-worker buffers of the index-join probe
+/// (exec::CollectJoinCandidates). One instance per worker keeps the
+/// probe loop allocation-free after warmup; its size is bounded by the
+/// inner row count (stamps) and the run cap (run), not by history.
 struct ProbeScratch {
+  /// The current outer row's distinct candidate ids.
   std::vector<int64_t> candidates;
+  /// Per inner row: the generation of the last outer row that admitted
+  /// it, so a repeat visit is one compare instead of a push + dedupe.
+  std::vector<std::uint32_t> stamps;
+  std::uint32_t generation = 0;
+  /// Member cubes of the run being probed, in time order.
+  std::vector<Cube> run;
 };
 
 /// Index nested-loop join specialized for spatio-temporal joins over

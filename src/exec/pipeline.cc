@@ -6,6 +6,8 @@
 #include <condition_variable>
 #include <limits>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "db/parallel.h"
@@ -186,60 +188,72 @@ std::size_t NumStages(const Pipeline& pipe) {
   return pipe.filters.size() + 2;
 }
 
+// The output tuple of a surviving pair: outer attributes, then inner.
+Tuple JoinTuples(const Tuple& outer, const Tuple& inner) {
+  Tuple joined;
+  joined.reserve(outer.size() + inner.size());
+  joined.insert(joined.end(), outer.begin(), outer.end());
+  joined.insert(joined.end(), inner.begin(), inner.end());
+  return joined;
+}
+
 // Joined tuples for one surviving outer row of the index-join probe,
 // appended in ascending candidate order — the same body (and the same
 // stats semantics) for every execution policy, which is what keeps
 // pipelined output byte-identical to the materializing operator's.
-void ProbeIndexJoinRow(const Tuple& outer, std::size_t outer_row,
-                       const JoinProbeOp& op, const IndexLayersView& view,
-                       std::vector<Tuple>* out, StageCounters* s,
-                       ProbeScratch* scratch) {
+Status ProbeIndexJoinRow(const Tuple& outer, std::size_t outer_row,
+                         const JoinProbeOp& op, const IndexLayersView& view,
+                         std::vector<Tuple>* out, StageCounters* s,
+                         ProbeScratch* scratch) {
   const Relation& b = *op.inner;
   const auto& mp = std::get<MovingPoint>(outer[std::size_t(op.attr_outer)]);
-  std::vector<int64_t>& candidates = scratch->candidates;
-  candidates.clear();
-  const Cube& bounds = view.Bounds();
-  for (const UPoint& u : mp.units()) {
-    Cube c = u.BoundingCube();
-    c.rect.min_x -= op.expand;
-    c.rect.min_y -= op.expand;
-    c.rect.max_x += op.expand;
-    c.rect.max_y += op.expand;
-    // Bbox prefilter: a probe cube disjoint from every layer cannot
-    // produce candidates; skip the descent outright.
-    if (!Cube::Intersect(c, bounds)) continue;
-    view.QueryVisit(c, [&candidates](int64_t id) { candidates.push_back(id); });
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
+  MODB_RETURN_IF_ERROR(
+      CollectJoinCandidates(mp, outer_row, op, view, scratch));
   s->units_scanned += mp.units().size();
-  s->index_candidates += candidates.size();
-  for (int64_t j : candidates) {
+  s->index_candidates += scratch->candidates.size();
+  for (int64_t j : scratch->candidates) {
+    const Tuple& inner = b.tuple(std::size_t(j));
     ++s->predicate_evals;
-    if (!op.pred.fn(outer, outer_row, b.tuple(std::size_t(j)),
-                    std::size_t(j))) {
-      continue;
-    }
+    if (!op.pred.fn(outer, outer_row, inner, std::size_t(j))) continue;
     ++s->index_hits;
-    Tuple joined = outer;
-    joined.insert(joined.end(), b.tuple(std::size_t(j)).begin(),
-                  b.tuple(std::size_t(j)).end());
-    out->push_back(std::move(joined));
+    out->push_back(JoinTuples(outer, inner));
   }
+  return Status::OK();
 }
 
 void ProbeNestedLoopRow(const Tuple& outer, std::size_t outer_row,
                         const JoinProbeOp& op, std::vector<Tuple>* out,
                         StageCounters* s) {
   const Relation& b = *op.inner;
-  for (std::size_t j = 0; j < b.NumTuples(); ++j) {
+  for (std::size_t j = op.distinct_pairs ? outer_row + 1 : 0;
+       j < b.NumTuples(); ++j) {
     ++s->predicate_evals;
     if (!op.pred.fn(outer, outer_row, b.tuple(j), j)) continue;
-    Tuple joined = outer;
-    joined.insert(joined.end(), b.tuple(j).begin(), b.tuple(j).end());
-    out->push_back(std::move(joined));
+    out->push_back(JoinTuples(outer, b.tuple(j)));
   }
+}
+
+// ---- index-join candidate runs (CollectJoinCandidates) ------------------
+
+// A run merges at most this many consecutive probe cubes...
+constexpr std::size_t kMaxRunUnits = 64;
+// ...and only while its bounding cube stays within this factor of its
+// members' summed volumes, so a traversal over the run visits little
+// the members' own traversals would not.
+constexpr double kMaxRunInflation = 2.0;
+
+// True when `entry` intersects some member of a time-ordered run. Both
+// bounds of the members' time spans are non-decreasing, so the members
+// overlapping the entry in time are one contiguous stretch, found by
+// binary search on max_t.
+bool HitsRunMember(const std::vector<Cube>& run, const Cube& entry) {
+  auto it = std::partition_point(
+      run.begin(), run.end(),
+      [&entry](const Cube& m) { return m.max_t < entry.min_t; });
+  for (; it != run.end() && it->min_t <= entry.max_t; ++it) {
+    if (Cube::Intersect(*it, entry)) return true;
+  }
+  return false;
 }
 
 // Smallest window i in [lo, num_windows) with s_i + width >= start —
@@ -410,10 +424,10 @@ class WindowFold {
 };
 
 // One morsel through the fused stage chain. Returns non-OK only for
-// source faults (spilled page errors) and unsorted batch instants;
-// predicate work never fails. A window sweep leaves its records in
-// w->records and a batch probe writes its rows' cells in place; neither
-// takes an `out`.
+// source faults (spilled page errors), unsorted batch instants and an
+// index entry naming no inner row; predicate work never fails. A window
+// sweep leaves its records in w->records and a batch probe writes its
+// rows' cells in place; neither takes an `out`.
 Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
                      const Morsel& m, WorkerState* w,
                      std::vector<Tuple>* out, BatchOutput* cells) {
@@ -502,8 +516,9 @@ Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
   } else if (pipe.join) {
     for (std::size_t k = 0; k < w->rows.size(); ++k) {
       if (pipe.join->kind == JoinProbeOp::Kind::kIndex) {
-        ProbeIndexJoinRow(tuple_at(k), w->rows[k], *pipe.join, view, out,
-                          &term, &w->probe);
+        MODB_RETURN_IF_ERROR(ProbeIndexJoinRow(tuple_at(k), w->rows[k],
+                                               *pipe.join, view, out, &term,
+                                               &w->probe));
       } else {
         ProbeNestedLoopRow(tuple_at(k), w->rows[k], *pipe.join, out, &term);
       }
@@ -706,6 +721,106 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
 }
 
 }  // namespace
+
+Status CollectJoinCandidates(const MovingPoint& mp, std::size_t outer_row,
+                             const JoinProbeOp& op,
+                             const IndexLayersView& view,
+                             ProbeScratch* scratch) {
+  std::vector<int64_t>& candidates = scratch->candidates;
+  candidates.clear();
+  const std::size_t inner_rows = op.inner->NumTuples();
+  std::vector<std::uint32_t>& stamps = scratch->stamps;
+  if (stamps.size() != inner_rows) {
+    stamps.assign(inner_rows, 0);
+    scratch->generation = 0;
+  }
+  if (++scratch->generation == 0) {  // wrapped: forget every stamp
+    std::fill(stamps.begin(), stamps.end(), 0);
+    scratch->generation = 1;
+  }
+  const std::uint32_t generation = scratch->generation;
+  // Ids below `first` are never candidates: a distinct-pairs predicate
+  // rejects j <= i.
+  const std::uint64_t first = op.distinct_pairs ? outer_row + 1 : 0;
+  std::optional<std::int64_t> bad_id;
+  // True when `id` is an inner row this outer row has not admitted yet.
+  auto fresh = [&](std::int64_t id) {
+    if (id < 0 || std::uint64_t(id) >= inner_rows) {
+      bad_id = id;
+      return false;
+    }
+    return std::uint64_t(id) >= first &&
+           stamps[std::size_t(id)] != generation;
+  };
+  auto admit = [&](std::int64_t id) {
+    stamps[std::size_t(id)] = generation;
+    candidates.push_back(id);
+  };
+
+  std::vector<Cube>& run = scratch->run;
+  run.clear();
+  Cube run_cube;
+  double run_volume = 0;
+  RTree3D::QueryCounters counters;
+  auto probe_run = [&] {
+    if (run.size() == 1) {
+      view.QueryVisit(
+          run[0],
+          [&](std::int64_t id) {
+            if (fresh(id)) admit(id);
+          },
+          &counters);
+    } else {
+      view.QueryVisit(
+          run_cube,
+          [&](std::int64_t id, const Cube& entry) {
+            if (fresh(id) && HitsRunMember(run, entry)) admit(id);
+          },
+          &counters);
+    }
+    run.clear();
+  };
+
+  const Cube& bounds = view.Bounds();
+  for (const UPoint& u : mp.units()) {
+    Cube c = u.BoundingCube();
+    c.rect.min_x -= op.expand;
+    c.rect.min_y -= op.expand;
+    c.rect.max_x += op.expand;
+    c.rect.max_y += op.expand;
+    // Bbox prefilter: a probe cube disjoint from every layer cannot
+    // produce candidates, so it joins no run.
+    if (!Cube::Intersect(c, bounds)) continue;
+    const double volume = c.Volume();
+    if (!run.empty()) {
+      Cube merged = run_cube;
+      merged.Extend(c);
+      // Time order is checked, not assumed: HitsRunMember relies on it.
+      if (run.size() < kMaxRunUnits && c.min_t >= run.back().min_t &&
+          c.max_t >= run.back().max_t &&
+          merged.Volume() <= kMaxRunInflation * (run_volume + volume)) {
+        run.push_back(c);
+        run_cube = merged;
+        run_volume += volume;
+        continue;
+      }
+      probe_run();
+    }
+    run.push_back(c);
+    run_cube = c;
+    run_volume = volume;
+  }
+  if (!run.empty()) probe_run();
+  counters.Flush();
+  if (bad_id) {
+    return Status::Internal("index entry id " + std::to_string(*bad_id) +
+                            " is not a row of the " +
+                            std::to_string(inner_rows) +
+                            "-row inner relation");
+  }
+  std::sort(candidates.begin(), candidates.end());
+  return Status::OK();
+}
 
 std::uint64_t CountWindows(Instant t0, Instant t1, Instant step,
                            std::uint64_t limit) {

@@ -98,9 +98,10 @@ struct ProjectOp {
 /// pairs as (outer row ascending, inner row ascending), so their
 /// outputs coincide whenever the predicate implies the expanded-cube
 /// envelope — the contract under which the planner may choose freely.
-/// The probe sorts and deduplicates candidate ids before evaluating the
-/// predicate, so any layering of the same entry set (one tree, or
-/// base+delta+mem) yields byte-identical output.
+/// The probe evaluates the predicate on a set of distinct candidate
+/// ids in ascending order (CollectJoinCandidates), so any layering of
+/// the same entry set (one tree, or base+delta+mem) yields
+/// byte-identical output.
 struct JoinProbeOp {
   enum class Kind { kIndex, kNestedLoop };
   Kind kind = Kind::kIndex;
@@ -108,6 +109,10 @@ struct JoinProbeOp {
   int attr_outer = -1;
   double expand = 0;
   JoinPred pred;
+  /// Pairs with inner row <= outer row are never tested: set only when
+  /// `pred` rejects every such pair (a distinct-pairs self join), so
+  /// dropping them unseen leaves the output unchanged.
+  bool distinct_pairs = false;
   /// Layered index view (kIndex only): probes a live relation's
   /// base/delta/mem stack. Takes precedence over tree/build_step.
   std::optional<IndexLayersView> layers;
@@ -116,6 +121,25 @@ struct JoinProbeOp {
   const RTree3D* tree = nullptr;
   int build_step = -1;
 };
+
+/// The index-join candidates of one outer row: the ascending, distinct
+/// ids of the inner rows owning an entry of `view` whose cube
+/// intersects some unit cube of `mp` grown by `op.expand` — only ids
+/// greater than `outer_row` when `op.distinct_pairs`. Leaves them in
+/// `scratch->candidates`.
+///
+/// The row's probe cubes are walked in time order and merged greedily
+/// into runs of at most 64 while a run's bounding cube stays within 2x
+/// the summed volume of its members; each run costs one traversal.
+/// A hit of a multi-unit run is rechecked exactly (Cube::Intersect,
+/// the traversal's own closed test) against the members that overlap
+/// it in time, so the set is exactly the one-traversal-per-unit
+/// probe's. Fails with kInternal when the index yields an id that is
+/// not a row of `op.inner`.
+Status CollectJoinCandidates(const MovingPoint& mp, std::size_t outer_row,
+                             const JoinProbeOp& op,
+                             const IndexLayersView& view,
+                             ProbeScratch* scratch);
 
 /// Terminal window-aggregate stage over the moving-point attribute
 /// `attr`: window i is [s_i, s_i + width) with s_i = t0 + i*step, for

@@ -234,6 +234,7 @@ std::string PlanCacheKey(const LogicalQuery& q) {
     key += " " + std::to_string(j.attr_outer) + "/" +
            std::to_string(j.attr_inner) + " ";
     key += j.pred.shape;
+    if (j.distinct_pairs) key += " distinct";
     AppendSchemaSig(j.inner->schema(), &key);
     key += " m~" + std::to_string(SizeBucket(j.inner->NumTuples()));
   }
@@ -338,6 +339,7 @@ Result<PhysicalPlan> PlanQuery(const LogicalQuery& q) {
     op.attr_outer = j.attr_outer;
     op.expand = j.expand;
     op.pred = j.pred;
+    op.distinct_pairs = j.distinct_pairs;
     if (decision.use_index_join) {
       if (j.layers) {
         op.layers = j.layers;

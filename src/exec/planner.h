@@ -64,6 +64,9 @@ struct LogicalQuery {
     /// Spatial slack added to each probe cube (the join distance).
     double expand = 0;
     JoinPred pred;
+    /// `pred` rejects every pair with inner row <= outer row (a
+    /// distinct-pairs self join): the probe skips those pairs unseen.
+    bool distinct_pairs = false;
     /// Optional prebuilt R-tree over `inner`'s join attribute; forces
     /// the index variant without a build step.
     const RTree3D* prebuilt = nullptr;

@@ -10,8 +10,8 @@
 //          (bounded by objects x seal threshold, so a scan beats a tree)
 //
 // Correctness rests on a set-union argument, not on tree shape: the
-// index-join probe collects candidate ids across layers, then sorts and
-// deduplicates them (exec/pipeline.cc) before evaluating the exact
+// index-join probe collects the distinct candidate ids across layers
+// and sorts them (exec/pipeline.cc) before evaluating the exact
 // predicate in ascending id order. Two indexes over the same entry set
 // therefore produce byte-identical join output no matter how the
 // entries are partitioned into layers — which is why a bulk-built
@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "index/rtree3d.h"
@@ -69,15 +70,24 @@ struct IndexLayersView {
            (delta != nullptr && delta->NumEntries() > 0) || mem_count > 0;
   }
 
-  /// Visits every entry id whose cube intersects `query`, across all
-  /// layers. Ids may repeat across and within layers — callers dedupe,
-  /// exactly as they already must for a single tree (one id per unit).
+  /// Visits every entry whose cube intersects `query`, across all
+  /// layers, adding tree traversal work to `*counters` (the caller
+  /// flushes). The visitor takes the id, or the id and the entry cube,
+  /// as RTree3D::QueryVisit's does. Ids may repeat across and within
+  /// layers — callers dedupe, exactly as they already must for a single
+  /// tree (one id per unit).
   template <typename Fn>
-  void QueryVisit(const Cube& query, Fn&& fn) const {
-    if (base != nullptr) base->QueryVisit(query, fn);
-    if (delta != nullptr) delta->QueryVisit(query, fn);
+  void QueryVisit(const Cube& query, Fn&& fn,
+                  RTree3D::QueryCounters* counters) const {
+    if (base != nullptr) base->QueryVisit(query, fn, counters);
+    if (delta != nullptr) delta->QueryVisit(query, fn, counters);
     for (std::size_t i = 0; i < mem_count; ++i) {
-      if (Cube::Intersect(mem[i].cube, query)) fn(mem[i].id);
+      if (!Cube::Intersect(mem[i].cube, query)) continue;
+      if constexpr (std::is_invocable_v<Fn&, std::int64_t, const Cube&>) {
+        fn(mem[i].id, mem[i].cube);
+      } else {
+        fn(mem[i].id);
+      }
     }
   }
 };

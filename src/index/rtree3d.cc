@@ -136,7 +136,8 @@ MaskFn ActiveMaskFn() {
 
 #ifndef MODB_NO_METRICS
 void RTree3D::QueryCounters::Flush() const {
-  MODB_COUNTER_INC("index.rtree3d.queries");
+  if (queries == 0) return;
+  MODB_COUNTER_ADD("index.rtree3d.queries", queries);
   MODB_COUNTER_ADD("index.rtree3d.node_visits", node_visits);
   MODB_COUNTER_ADD("index.rtree3d.leaf_entry_tests", leaf_entry_tests);
   MODB_COUNTER_ADD("index.rtree3d.leaf_hits", leaf_hits);
@@ -265,7 +266,9 @@ std::vector<int64_t> RTree3D::Query(const Cube& query) const {
 
 void RTree3D::Query(const Cube& query, std::vector<int64_t>* out) const {
   out->clear();
-  QueryVisit(query, [out](int64_t id) { out->push_back(id); });
+  QueryCounters counters;
+  QueryVisit(query, [out](int64_t id) { out->push_back(id); }, &counters);
+  counters.Flush();
 }
 
 }  // namespace modb

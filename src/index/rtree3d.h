@@ -19,6 +19,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "spatial/bbox.h"
@@ -74,48 +75,71 @@ class RTree3D {
   /// ids, reusing its capacity. Zero allocations after warmup.
   void Query(const Cube& query, std::vector<int64_t>* out) const;
 
-  /// Visits intersecting entries without materializing the id vector.
-  /// Traversal work (node visits, leaf entry tests/hits) is accumulated
-  /// in locals and flushed to the obs metrics registry once per query —
-  /// a no-op (and fully optimized out) under MODB_NO_METRICS.
+  /// Traversal tallies, accumulated by the caller across as many
+  /// traversals as it likes and flushed once: Flush (rtree3d.cc) adds
+  /// them to the "index.rtree3d.*" counters ("queries" counts
+  /// traversals) and is empty under MODB_NO_METRICS.
+  struct QueryCounters {
+    std::uint64_t queries = 0;
+    std::uint64_t node_visits = 0;
+    std::uint64_t leaf_entry_tests = 0;
+    std::uint64_t leaf_hits = 0;
+#ifdef MODB_NO_METRICS
+    // Inline no-op so the local tallies above are provably dead and the
+    // compiler strips the increments from the traversal.
+    void Flush() const {}
+#else
+    void Flush() const;  // rtree3d.cc
+#endif
+  };
+
+  /// Visits intersecting entries without materializing the id vector,
+  /// in DFS order. The visitor takes the entry id, or the id and the
+  /// entry's cube (`fn(id, cube)`) when it is invocable that way — what
+  /// a caller needs to recheck a hit against a finer query than the
+  /// one traversed. Traversal work is added to `*counters`; the caller
+  /// flushes it.
   template <typename Fn>
-  void QueryVisit(const Cube& query, Fn&& fn) const {
-    QueryCounters counters;
-    if (!leaf_.empty() && Cube::Intersect(bounds_, query)) {
-      const rtree_internal::MaskFn mask_fn = rtree_internal::ActiveMaskFn();
-      const rtree_internal::Planes planes{min_x_.data(), min_y_.data(),
-                                          min_t_.data(), max_x_.data(),
-                                          max_y_.data(), max_t_.data()};
-      // DFS over node indices. The bound holds because the height is at
-      // most kMaxHeight and a pop pushes at most stride_ - 1 net nodes.
-      std::int32_t stack[kMaxHeight * 31 + 1];
-      int sp = 0;
-      stack[sp++] = 0;
-      while (sp > 0) {
-        const std::int32_t n = stack[--sp];
-        ++counters.node_visits;
-        const std::size_t base = std::size_t(n) * std::size_t(stride_);
-        std::uint32_t mask = mask_fn(planes, base, stride_, query);
-        if (leaf_[std::size_t(n)]) {
-          counters.leaf_entry_tests += count_[std::size_t(n)];
-          counters.leaf_hits += std::uint32_t(std::popcount(mask));
-          while (mask != 0) {
-            const int s = std::countr_zero(mask);
-            mask &= mask - 1;
-            fn(slot_[base + std::size_t(s)]);
+  void QueryVisit(const Cube& query, Fn&& fn, QueryCounters* counters) const {
+    ++counters->queries;
+    if (leaf_.empty() || !Cube::Intersect(bounds_, query)) return;
+    const rtree_internal::MaskFn mask_fn = rtree_internal::ActiveMaskFn();
+    const rtree_internal::Planes planes{min_x_.data(), min_y_.data(),
+                                        min_t_.data(), max_x_.data(),
+                                        max_y_.data(), max_t_.data()};
+    // DFS over node indices. The bound holds because the height is at
+    // most kMaxHeight and a pop pushes at most stride_ - 1 net nodes.
+    std::int32_t stack[kMaxHeight * 31 + 1];
+    int sp = 0;
+    stack[sp++] = 0;
+    while (sp > 0) {
+      const std::int32_t n = stack[--sp];
+      ++counters->node_visits;
+      const std::size_t base = std::size_t(n) * std::size_t(stride_);
+      std::uint32_t mask = mask_fn(planes, base, stride_, query);
+      if (leaf_[std::size_t(n)]) {
+        counters->leaf_entry_tests += count_[std::size_t(n)];
+        counters->leaf_hits += std::uint32_t(std::popcount(mask));
+        while (mask != 0) {
+          const std::size_t i = base + std::size_t(std::countr_zero(mask));
+          mask &= mask - 1;
+          if constexpr (std::is_invocable_v<Fn&, std::int64_t, const Cube&>) {
+            fn(slot_[i], Cube(Rect(min_x_[i], min_y_[i], max_x_[i], max_y_[i]),
+                              min_t_[i], max_t_[i]));
+          } else {
+            fn(slot_[i]);
           }
-        } else {
-          // Push hits high-slot first so they pop in ascending slot
-          // order — the same DFS order as the pointer-tree recursion.
-          while (mask != 0) {
-            const int s = 31 - std::countl_zero(mask);
-            mask &= ~(std::uint32_t(1) << s);
-            stack[sp++] = std::int32_t(slot_[base + std::size_t(s)]);
-          }
+        }
+      } else {
+        // Push hits high-slot first so they pop in ascending slot
+        // order — the same DFS order as the pointer-tree recursion.
+        while (mask != 0) {
+          const int s = 31 - std::countl_zero(mask);
+          mask &= ~(std::uint32_t(1) << s);
+          stack[sp++] = std::int32_t(slot_[base + std::size_t(s)]);
         }
       }
     }
-    counters.Flush();
   }
 
   /// Bounding cube of the whole tree (empty cube when no entries). Lets
@@ -133,21 +157,6 @@ class RTree3D {
   // With fanout >= 2 every level at least halves the node count, so
   // int32 node indices bound the height well under 32.
   static constexpr int kMaxHeight = 32;
-
-  // Per-query traversal tallies; Flush (rtree3d.cc) adds them to the
-  // "index.rtree3d.*" counters and is empty under MODB_NO_METRICS.
-  struct QueryCounters {
-    std::uint64_t node_visits = 0;
-    std::uint64_t leaf_entry_tests = 0;
-    std::uint64_t leaf_hits = 0;
-#ifdef MODB_NO_METRICS
-    // Inline no-op so the local tallies above are provably dead and the
-    // compiler strips the increments from the traversal.
-    void Flush() const {}
-#else
-    void Flush() const;  // rtree3d.cc
-#endif
-  };
 
   // Level-ordered flat arrays. Node i owns child slots
   // [i * stride_, (i + 1) * stride_); the root is node 0 and every

@@ -23,7 +23,8 @@
 // is rebuilt from the unsealed suffix after each batch, and
 //   base ∪ delta ∪ mem  =  { (unit cube, row) : all units of all rows }
 // which is exactly what RTree3D bulk-built over the relation holds. The
-// probe's sort+dedupe makes the layering invisible (delta_index.h).
+// probe collects a set of distinct candidate ids, which makes the
+// layering invisible (delta_index.h).
 //
 // Durability (optional VersionedSpillStore): root 0 is a manifest
 // (object ids + the exact last fix per object — persisted verbatim

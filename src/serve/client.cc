@@ -208,6 +208,7 @@ Result<Client::MutationReply> RetryingClient::Mutate(
 
 Result<std::string> FetchMetricsJson(const std::string& host, int port,
                                      int timeout_ms) {
+  constexpr std::size_t kMaxMetricsResponse = std::size_t(8) << 20;
   Result<int> fd = ConnectTcpTimeout(host, port, timeout_ms);
   MODB_RETURN_IF_ERROR(fd.status());
   const std::string request =
@@ -219,16 +220,16 @@ Result<std::string> FetchMetricsJson(const std::string& host, int port,
     return sent;
   }
   std::string response;
-  char buf[4096];
+  char buf[64 * 1024];
   for (;;) {
-    Result<bool> got = ReadFullOrEofTimeout(*fd, buf, 1, timeout_ms);
+    Result<std::size_t> got = ReadSomeTimeout(*fd, buf, sizeof buf, timeout_ms);
     if (!got.ok()) {
       CloseFd(*fd);
       return got.status();
     }
-    if (!*got) break;
-    response.push_back(buf[0]);
-    if (response.size() > (8u << 20)) {
+    if (*got == 0) break;
+    response.append(buf, *got);
+    if (response.size() > kMaxMetricsResponse) {
       CloseFd(*fd);
       return Status::InvalidArgument("metrics response exceeds 8 MiB");
     }

@@ -53,6 +53,12 @@ Status WriteFull(int fd, const void* buf, std::size_t n);
 Result<bool> ReadFullOrEofTimeout(int fd, void* buf, std::size_t n,
                                   int timeout_ms);
 Status ReadFullTimeout(int fd, void* buf, std::size_t n, int timeout_ms);
+/// One read of whatever has arrived, at most n bytes: waits at most
+/// timeout_ms for the first byte (kDeadlineExceeded otherwise; < 0
+/// blocks) and returns the byte count, 0 on EOF. For stream readers
+/// that frame the bytes themselves (the HTTP diagnostics endpoint).
+Result<std::size_t> ReadSomeTimeout(int fd, void* buf, std::size_t n,
+                                    int timeout_ms);
 Status WriteFullTimeout(int fd, const void* buf, std::size_t n,
                         int timeout_ms);
 

@@ -304,22 +304,38 @@ void Server::ServeConnection(int fd) {
 
 void Server::ServeHttp(int fd, const std::string& sniffed) {
   const int io_ms = options_.io_timeout_ms > 0 ? options_.io_timeout_ms : -1;
-  // Read the rest of the request head (bounded; body-less GET). Each
-  // byte read is individually bounded — good enough for a diagnostics
-  // endpoint; the frame path is where the whole-read deadline matters.
+  // Read the rest of the request head (bounded; body-less GET) in
+  // chunks. Each read is individually bounded — good enough for a
+  // diagnostics endpoint; the frame path is where the whole-read
+  // deadline matters.
+  constexpr std::size_t kMaxHead = 8192;
   std::string head = sniffed;
-  char c;
-  while (head.size() < 8192 &&
-         head.find("\r\n\r\n") == std::string::npos) {
-    Result<bool> got = ReadFullOrEofTimeout(fd, &c, 1, io_ms);
-    if (!got.ok() || !*got) {
+  bool complete = false;
+  char buf[1024];
+  while (head.size() < kMaxHead) {
+    Result<std::size_t> got = ReadSomeTimeout(
+        fd, buf, std::min(sizeof buf, kMaxHead - head.size()), io_ms);
+    if (!got.ok() || *got == 0) {
       if (got.status().code() == StatusCode::kDeadlineExceeded) {
         MODB_COUNTER_INC("serve.timeouts");
         return;
       }
       break;
     }
-    head.push_back(c);
+    // The terminator may straddle the previous chunk's last 3 bytes.
+    const std::size_t from = head.size() < 3 ? 0 : head.size() - 3;
+    head.append(buf, *got);
+    if (head.find("\r\n\r\n", from) != std::string::npos) {
+      complete = true;
+      break;
+    }
+  }
+  if (!complete && head.size() >= kMaxHead) {
+    const std::string response =
+        HttpResponse("431 Request Header Fields Too Large",
+                     "{\"error\":\"request head exceeds 8192 bytes\"}");
+    (void)WriteFullTimeout(fd, response.data(), response.size(), io_ms);
+    return;
   }
   const std::size_t path_begin = 4;  // after "GET "
   const std::size_t path_end = head.find(' ', path_begin);

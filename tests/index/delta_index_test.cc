@@ -38,7 +38,9 @@ std::vector<RTree3D::Entry> MakeEntries(int n, std::uint64_t seed) {
 std::vector<std::int64_t> Collect(const IndexLayersView& view,
                                   const Cube& query) {
   std::vector<std::int64_t> ids;
-  view.QueryVisit(query, [&ids](std::int64_t id) { ids.push_back(id); });
+  RTree3D::QueryCounters counters;
+  view.QueryVisit(
+      query, [&ids](std::int64_t id) { ids.push_back(id); }, &counters);
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;

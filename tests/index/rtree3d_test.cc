@@ -227,7 +227,9 @@ TEST(RTree3D, FlattenMatchesPointerTreeVisitSequence) {
       for (int q = 0; q < 25; ++q) {
         Cube query = MakeCube(pos(rng), pos(rng), pos(rng), ext(rng) * 3);
         std::vector<int64_t> got;
-        flat.QueryVisit(query, [&got](int64_t id) { got.push_back(id); });
+        RTree3D::QueryCounters counters;
+        flat.QueryVisit(
+            query, [&got](int64_t id) { got.push_back(id); }, &counters);
         EXPECT_EQ(got, ref.Query(query))
             << "fanout=" << fanout << " n=" << n << " q=" << q;
       }
@@ -252,13 +254,16 @@ TEST(RTree3D, SimdMatchesScalarVisitSequence) {
   // Degenerate windows too: empty-intersection and all-covering.
   queries.push_back(MakeCube(500, 500, 500, 1));
   queries.push_back(MakeCube(-100, -100, -100, 400));
+  RTree3D::QueryCounters counters;
   for (const Cube& query : queries) {
     simd::SetSimdMode(simd::Mode::kScalar);
     std::vector<int64_t> scalar;
-    tree.QueryVisit(query, [&scalar](int64_t id) { scalar.push_back(id); });
+    tree.QueryVisit(
+        query, [&scalar](int64_t id) { scalar.push_back(id); }, &counters);
     simd::SetSimdMode(simd::Mode::kAvx2);
     std::vector<int64_t> vec;
-    tree.QueryVisit(query, [&vec](int64_t id) { vec.push_back(id); });
+    tree.QueryVisit(
+        query, [&vec](int64_t id) { vec.push_back(id); }, &counters);
     simd::SetSimdMode(simd::Mode::kAuto);
     EXPECT_EQ(scalar, vec);
   }
@@ -268,8 +273,36 @@ TEST(RTree3D, VisitorShortForm) {
   RTree3D tree = RTree3D::BulkLoad(
       {{MakeCube(0, 0, 0, 1), 1}, {MakeCube(2, 2, 2, 1), 2}});
   int count = 0;
-  tree.QueryVisit(MakeCube(-1, -1, -1, 10), [&count](int64_t) { ++count; });
+  RTree3D::QueryCounters counters;
+  tree.QueryVisit(
+      MakeCube(-1, -1, -1, 10), [&count](int64_t) { ++count; }, &counters);
   EXPECT_EQ(count, 2);
+  EXPECT_EQ(counters.queries, 1u);
+}
+
+// A two-argument visitor receives each hit entry's own cube, exactly as
+// loaded (what the join probe rechecks run members against).
+TEST(RTree3D, VisitorReceivesEntryCube) {
+  std::mt19937_64 rng(7);
+  std::vector<RTree3D::Entry> entries = RandomEntries(&rng, 300);
+  for (std::size_t i = 0; i < entries.size(); ++i) entries[i].id = int64_t(i);
+  RTree3D tree = RTree3D::BulkLoad(entries, 8);
+  RTree3D::QueryCounters counters;
+  std::size_t visits = 0;
+  tree.QueryVisit(
+      MakeCube(-1000, -1000, -1000, 4000),
+      [&](int64_t id, const Cube& cube) {
+        ++visits;
+        const Cube& want = entries[std::size_t(id)].cube;
+        EXPECT_EQ(cube.rect.min_x, want.rect.min_x);
+        EXPECT_EQ(cube.rect.min_y, want.rect.min_y);
+        EXPECT_EQ(cube.rect.max_x, want.rect.max_x);
+        EXPECT_EQ(cube.rect.max_y, want.rect.max_y);
+        EXPECT_EQ(cube.min_t, want.min_t);
+        EXPECT_EQ(cube.max_t, want.max_t);
+      },
+      &counters);
+  EXPECT_EQ(visits, entries.size());
 }
 
 // The caller-buffer overload fills the provided vector (clearing it

@@ -885,6 +885,84 @@ TEST_F(ServerTest, MetricsEndpointServesJsonOverHttp) {
 #endif
 }
 
+// Everything the peer sends until it closes, read in chunks.
+std::string ReadToEof(int fd) {
+  std::string out;
+  char buf[4096];
+  for (;;) {
+    Result<std::size_t> got = ReadSomeTimeout(fd, buf, sizeof buf, 5000);
+    EXPECT_TRUE(got.ok()) << got.status();
+    if (!got.ok() || *got == 0) return out;
+    out.append(buf, *got);
+  }
+}
+
+TEST_F(ServerTest, HttpHeadSplitAcrossWritesStillParses) {
+  StartServer();
+  Result<int> fd = ConnectTcp("127.0.0.1", server_->port());
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  for (const std::string piece :
+       {"GET /met", "rics HTTP/1.0\r\nHost: x\r", "\n\r", "\n"}) {
+    ASSERT_TRUE(WriteFull(*fd, piece.data(), piece.size()).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const std::string response = ReadToEof(*fd);
+  CloseFd(*fd);
+  EXPECT_EQ(response.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << response;
+  EXPECT_NE(response.find("\"counters\""), std::string::npos);
+}
+
+TEST_F(ServerTest, HttpHeadOver8KiBIsRejected) {
+  StartServer();
+  Result<int> fd = ConnectTcp("127.0.0.1", server_->port());
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  // 8 KiB without the head's terminator: the server reads all of it
+  // (so its close is a clean FIN, not a reset) and rejects the head.
+  std::string request = "GET /metrics HTTP/1.0\r\nX-Pad: ";
+  request.resize(8192, 'a');
+  ASSERT_TRUE(WriteFull(*fd, request.data(), request.size()).ok());
+  const std::string response = ReadToEof(*fd);
+  CloseFd(*fd);
+  EXPECT_EQ(response.rfind("HTTP/1.0 431", 0), 0u) << response;
+}
+
+TEST(FetchMetricsJson, LargeBodyRoundTripsByteIdentical) {
+  Result<int> listener = ListenTcp("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  Result<int> port = BoundPort(*listener);
+  ASSERT_TRUE(port.ok()) << port.status();
+  // 3 MiB of every byte value, sent in uneven pieces.
+  std::string body(3u << 20, '\0');
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    body[i] = char((i * 131 + i / 7) & 0xff);
+  }
+  std::thread peer([&] {
+    const int fd = ::accept(*listener, nullptr, nullptr);
+    ASSERT_GE(fd, 0);
+    std::string head;
+    char buf[256];
+    while (head.find("\r\n\r\n") == std::string::npos) {
+      Result<std::size_t> got = ReadSomeTimeout(fd, buf, sizeof buf, 5000);
+      ASSERT_TRUE(got.ok() && *got > 0);
+      head.append(buf, *got);
+    }
+    const std::string response =
+        "HTTP/1.0 200 OK\r\nContent-Length: " + std::to_string(body.size()) +
+        "\r\n\r\n" + body;
+    for (std::size_t at = 0, step = 1; at < response.size();
+         at += step, step = step * 3 % 70001 + 1) {
+      step = std::min(step, response.size() - at);
+      ASSERT_TRUE(WriteFull(fd, response.data() + at, step).ok());
+    }
+    CloseFd(fd);
+  });
+  Result<std::string> got = FetchMetricsJson("127.0.0.1", *port, 5000);
+  peer.join();
+  CloseFd(*listener);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(*got == body) << "body of " << got->size() << " bytes differs";
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace modb

@@ -122,7 +122,7 @@ cmake --build --preset release -j "$jobs" \
 
 echo "==== perf smoke (release build) ===="
 run_perf_smoke queries bench_queries \
-  'BM_Q1_TrajectoryLength/64|BM_Q2_Join_RTree/64|BM_Q2_Join_RTree_Prebuilt/64|BM_Q2_IndexJoin_Db/1024|BM_WindowAggregate|BM_BatchKinds_Db|BM_EncodeResultBlock|BM_DecodeResultBlock'
+  'BM_Q1_TrajectoryLength/64|BM_Q2_Join_RTree/64|BM_Q2_Join_RTree_Prebuilt/64|BM_Q2_IndexJoin_Db/1024|BM_LiveIndexJoin_Db|BM_WindowAggregate|BM_BatchKinds_Db|BM_EncodeResultBlock|BM_DecodeResultBlock'
 run_perf_smoke batch bench_batch \
   'BM_AtInstant_Batch/10000/1024|BM_AtInstant_Batch/16384/16384'
 
