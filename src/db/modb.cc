@@ -489,6 +489,12 @@ Result<QueryResult> Db::Run(const QueryRequest& req,
           join.algorithm = exec::LogicalQuery::JoinSpec::Algorithm::kNestedLoop;
         } else {
           join.algorithm = exec::LogicalQuery::JoinSpec::Algorithm::kIndex;
+          if (src.live != nullptr &&
+              *outer_slot == ingest::LiveRelation::kTrailSlot) {
+            // Live outer: its sealed history probes once per block of
+            // units, whatever the inner side is.
+            join.outer_blocks = src.live->Blocks();
+          }
           if (inner.live != nullptr &&
               *inner_slot == ingest::LiveRelation::kTrailSlot) {
             // Live inner: probe the base/delta/mem stack instead of

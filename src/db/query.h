@@ -69,6 +69,9 @@ struct ProbeScratch {
   std::uint32_t generation = 0;
   /// Member cubes of the run being probed, in time order.
   std::vector<Cube> run;
+  /// The units the last probe walked into runs or rechecked exactly
+  /// (ExecStats units_scanned).
+  std::uint64_t units_scanned = 0;
 };
 
 /// Index nested-loop join specialized for spatio-temporal joins over

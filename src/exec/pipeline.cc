@@ -7,6 +7,7 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -209,7 +210,7 @@ Status ProbeIndexJoinRow(const Tuple& outer, std::size_t outer_row,
   const auto& mp = std::get<MovingPoint>(outer[std::size_t(op.attr_outer)]);
   MODB_RETURN_IF_ERROR(
       CollectJoinCandidates(mp, outer_row, op, view, scratch));
-  s->units_scanned += mp.units().size();
+  s->units_scanned += scratch->units_scanned;
   s->index_candidates += scratch->candidates.size();
   for (int64_t j : scratch->candidates) {
     const Tuple& inner = b.tuple(std::size_t(j));
@@ -241,6 +242,32 @@ constexpr std::size_t kMaxRunUnits = 64;
 // members' summed volumes, so a traversal over the run visits little
 // the members' own traversals would not.
 constexpr double kMaxRunInflation = 2.0;
+
+// `c` grown by `expand` in x and y: a probe cube of the join distance.
+Cube Grown(Cube c, double expand) {
+  c.rect.min_x -= expand;
+  c.rect.min_y -= expand;
+  c.rect.max_x += expand;
+  c.rect.max_y += expand;
+  return c;
+}
+
+// True when `entry` intersects the grown bounding cube of some unit of
+// `block`. Unit intervals are disjoint and time-ordered, so the units
+// overlapping the entry in time are one contiguous stretch, found by
+// binary search on the interval end; each costs one exact test, counted
+// in `*tested`.
+bool HitsBlockUnit(std::span<const UPoint> block, double expand,
+                   const Cube& entry, std::uint64_t* tested) {
+  auto it = std::partition_point(
+      block.begin(), block.end(),
+      [&entry](const UPoint& u) { return u.interval().end() < entry.min_t; });
+  for (; it != block.end() && it->interval().start() <= entry.max_t; ++it) {
+    ++*tested;
+    if (Cube::Intersect(Grown(it->BoundingCube(), expand), entry)) return true;
+  }
+  return false;
+}
 
 // True when `entry` intersects some member of a time-ordered run. Both
 // bounds of the members' time spans are non-decreasing, so the members
@@ -782,12 +809,34 @@ Status CollectJoinCandidates(const MovingPoint& mp, std::size_t outer_row,
   };
 
   const Cube& bounds = view.Bounds();
-  for (const UPoint& u : mp.units()) {
-    Cube c = u.BoundingCube();
-    c.rect.min_x -= op.expand;
-    c.rect.min_y -= op.expand;
-    c.rect.max_x += op.expand;
-    c.rect.max_y += op.expand;
+  std::uint64_t units_scanned = 0;
+  // Sealed history first: one traversal per block whose grown cube
+  // meets the index. The grown block cube contains every member's grown
+  // cube, so it finds every entry a member would; an admitted id has
+  // passed the member test exactly.
+  const std::span<const UPoint> units(mp.units());
+  std::span<const Cube> blocks;
+  if (op.outer_blocks) blocks = op.outer_blocks->Row(outer_row);
+  blocks = blocks.first(std::min(blocks.size(), units.size() / kUnitsPerBlock));
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const Cube c = Grown(blocks[b], op.expand);
+    if (!Cube::Intersect(c, bounds)) continue;
+    const std::span<const UPoint> block =
+        units.subspan(b * kUnitsPerBlock, kUnitsPerBlock);
+    view.QueryVisit(
+        c,
+        [&](std::int64_t id, const Cube& entry) {
+          if (fresh(id) &&
+              HitsBlockUnit(block, op.expand, entry, &units_scanned)) {
+            admit(id);
+          }
+        },
+        &counters);
+  }
+  // The units after the last block, in runs.
+  for (const UPoint& u : units.subspan(blocks.size() * kUnitsPerBlock)) {
+    ++units_scanned;
+    const Cube c = Grown(u.BoundingCube(), op.expand);
     // Bbox prefilter: a probe cube disjoint from every layer cannot
     // produce candidates, so it joins no run.
     if (!Cube::Intersect(c, bounds)) continue;
@@ -812,6 +861,7 @@ Status CollectJoinCandidates(const MovingPoint& mp, std::size_t outer_row,
   }
   if (!run.empty()) probe_run();
   counters.Flush();
+  scratch->units_scanned = units_scanned;
   if (bad_id) {
     return Status::Internal("index entry id " + std::to_string(*bad_id) +
                             " is not a row of the " +

@@ -116,6 +116,10 @@ struct JoinProbeOp {
   /// Layered index view (kIndex only): probes a live relation's
   /// base/delta/mem stack. Takes precedence over tree/build_step.
   std::optional<IndexLayersView> layers;
+  /// Block cubes of the outer attribute, row-aligned with the source
+  /// (kIndex only): rows with blocks probe once per block
+  /// (CollectJoinCandidates).
+  std::optional<UnitBlocksView> outer_blocks;
   /// Prebuilt index (kIndex only); when null and `layers` is unset,
   /// `build_step` names the plan step whose output tree this probe uses.
   const RTree3D* tree = nullptr;
@@ -128,14 +132,18 @@ struct JoinProbeOp {
 /// greater than `outer_row` when `op.distinct_pairs`. Leaves them in
 /// `scratch->candidates`.
 ///
-/// The row's probe cubes are walked in time order and merged greedily
-/// into runs of at most 64 while a run's bounding cube stays within 2x
-/// the summed volume of its members; each run costs one traversal.
-/// A hit of a multi-unit run is rechecked exactly (Cube::Intersect,
-/// the traversal's own closed test) against the members that overlap
-/// it in time, so the set is exactly the one-traversal-per-unit
-/// probe's. Fails with kInternal when the index yields an id that is
-/// not a row of `op.inner`.
+/// When `op.outer_blocks` gives the row block cubes, each block of
+/// kUnitsPerBlock leading units costs one traversal with its grown cube
+/// (none when that misses the index bounds). The remaining probe cubes
+/// are walked in time order and merged greedily into runs of at most 64
+/// while a run's bounding cube stays within 2x the summed volume of its
+/// members; each run costs one traversal. A hit of a block or of a
+/// multi-unit run is rechecked exactly (Cube::Intersect, the
+/// traversal's own closed test) against the members that overlap it in
+/// time, so the set is exactly the one-traversal-per-unit probe's.
+/// Leaves the units walked or rechecked in `scratch->units_scanned`.
+/// Fails with kInternal when the index yields an id that is not a row
+/// of `op.inner`.
 Status CollectJoinCandidates(const MovingPoint& mp, std::size_t outer_row,
                              const JoinProbeOp& op,
                              const IndexLayersView& view,

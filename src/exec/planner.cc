@@ -341,6 +341,7 @@ Result<PhysicalPlan> PlanQuery(const LogicalQuery& q) {
     op.pred = j.pred;
     op.distinct_pairs = j.distinct_pairs;
     if (decision.use_index_join) {
+      op.outer_blocks = j.outer_blocks;
       if (j.layers) {
         op.layers = j.layers;
       } else if (j.prebuilt != nullptr) {

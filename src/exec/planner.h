@@ -75,6 +75,10 @@ struct LogicalQuery {
     /// a build step and takes precedence over `prebuilt`. The referenced
     /// layers must outlive the plan's execution.
     std::optional<IndexLayersView> layers;
+    /// Optional block cubes of the source's join attribute, row-aligned
+    /// with the source (a live outer's sealed history): the probe tests
+    /// a block's cube before its units. Must outlive the execution.
+    std::optional<UnitBlocksView> outer_blocks;
   };
   std::optional<JoinSpec> join;
 

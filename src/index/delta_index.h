@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -89,6 +90,30 @@ struct IndexLayersView {
         fn(mem[i].id);
       }
     }
+  }
+};
+
+/// Units per block of a trajectory's frozen history: the probe side of
+/// an index join summarizes units [kUnitsPerBlock*b, kUnitsPerBlock*(b+1))
+/// by one bounding cube (UnitBlocksView).
+inline constexpr std::size_t kUnitsPerBlock = 256;
+
+/// A borrowed, read-only, row-aligned view of block cubes: Row(i) is the
+/// cube union of each full block of row i's leading units, in block
+/// order (possibly none). Blocks cover only units that never change
+/// again, so a cube stays exact for as long as its owner lives. The
+/// owner (a live relation's trails) is type-erased so the exec engine
+/// needs no ingest types; like IndexLayersView it must outlive the view,
+/// and is mutated only under the Db writer lock.
+struct UnitBlocksView {
+  using RowFn = std::span<const Cube> (*)(const void* owner, std::size_t row);
+  const void* owner = nullptr;
+  RowFn row_fn = nullptr;
+  /// Rows the owner has; Row() of any other row is empty.
+  std::size_t rows = 0;
+
+  std::span<const Cube> Row(std::size_t row) const {
+    return row < rows ? row_fn(owner, row) : std::span<const Cube>();
   }
 };
 

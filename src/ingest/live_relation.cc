@@ -95,6 +95,17 @@ std::optional<std::size_t> LiveRelation::RowOf(
   return it->second;
 }
 
+UnitBlocksView LiveRelation::Blocks() const {
+  UnitBlocksView view;
+  view.owner = this;
+  view.row_fn = [](const void* owner, std::size_t row) {
+    return std::span<const Cube>(
+        static_cast<const LiveRelation*>(owner)->tail(row).sealed_blocks());
+  };
+  view.rows = objects_.size();
+  return view;
+}
+
 Result<std::size_t> LiveRelation::AddObject(const std::string& object_id) {
   const std::size_t row = objects_.size();
   Tuple tuple;

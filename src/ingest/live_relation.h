@@ -151,6 +151,9 @@ class LiveRelation {
 
   const Relation& relation() const { return rel_; }
   IndexLayersView View() const { return index_.View(); }
+  /// Each row's sealed block cubes (TailSeries::sealed_blocks), the
+  /// probe-side summary of the trail attribute for an index join.
+  UnitBlocksView Blocks() const;
   const IndexSnapshot& index() const { return index_; }
   std::size_t NumObjects() const { return objects_.size(); }
   const LiveOptions& options() const { return options_; }

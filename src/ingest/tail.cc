@@ -66,7 +66,20 @@ Status TailSeries::Absorb(Instant t, const Point& p) {
 
 std::size_t TailSeries::Seal() {
   if (!units_.empty()) sealed_ = units_.size() - 1;
+  AppendSealedBlocks();
   return sealed_;
+}
+
+void TailSeries::AppendSealedBlocks() {
+  for (std::size_t b = sealed_blocks_.size();
+       (b + 1) * kUnitsPerBlock <= sealed_; ++b) {
+    Cube block;
+    for (std::size_t u = b * kUnitsPerBlock; u < (b + 1) * kUnitsPerBlock;
+         ++u) {
+      block.Extend(units_[u].BoundingCube());
+    }
+    sealed_blocks_.push_back(block);
+  }
 }
 
 Result<MovingPoint> TailSeries::Materialize() const {
@@ -87,6 +100,7 @@ Result<TailSeries> TailSeries::Resume(const MovingPoint& persisted,
           back.ToString() + " vs t = " + std::to_string(last_t) + ")");
     }
     tail.sealed_ = tail.units_.size() - 1;
+    tail.AppendSealedBlocks();
   }
   tail.has_fix_ = true;
   tail.last_t_ = last_t;

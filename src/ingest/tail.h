@@ -30,6 +30,12 @@
 // which keeps the cube, or a motion-equal merge). Seal() advances the
 // frontier to size-1, always keeping the newest unit "hot", so sealed
 // units can be handed to an immutable index run and never touched again.
+//
+// Block cubes: because sealed units are frozen, the bounding cube of
+// every full block of kUnitsPerBlock sealed units (index/delta_index.h)
+// is computed once — by the Seal() that completes the block, or by
+// Resume() — and stays exact forever. A join probe tests a block's cube
+// before it looks at the block's units (exec/pipeline.cc).
 
 #ifndef MODB_INGEST_TAIL_H_
 #define MODB_INGEST_TAIL_H_
@@ -38,6 +44,8 @@
 #include <vector>
 
 #include "core/status.h"
+#include "index/delta_index.h"
+#include "spatial/bbox.h"
 #include "spatial/point.h"
 #include "temporal/moving.h"
 #include "temporal/upoint.h"
@@ -69,9 +77,14 @@ class TailSeries {
   std::size_t sealed() const { return sealed_; }
 
   /// Advances the frontier to NumUnits() - 1 (the newest unit stays
-  /// mutable — the next Absorb may flip or merge into it). Returns the
-  /// new frontier.
+  /// mutable — the next Absorb may flip or merge into it), and appends
+  /// the cube of every block it completes. Returns the new frontier.
   std::size_t Seal();
+
+  /// Cube b is the union of the bounding cubes of units
+  /// [kUnitsPerBlock*b, kUnitsPerBlock*(b+1)), for every block wholly
+  /// below the sealed frontier.
+  const std::vector<Cube>& sealed_blocks() const { return sealed_blocks_; }
 
   /// The full trajectory as a validated minimal mapping (empty mapping
   /// with fewer than two fixes).
@@ -85,8 +98,13 @@ class TailSeries {
                                    const Point& last_p);
 
  private:
+  /// Appends the cubes of the full blocks below the frontier that have
+  /// none yet: each unit enters exactly one block cube, once.
+  void AppendSealedBlocks();
+
   std::vector<UPoint> units_;
   std::size_t sealed_ = 0;
+  std::vector<Cube> sealed_blocks_;
   bool has_fix_ = false;
   Instant last_t_ = 0;
   Point last_p_;

@@ -232,6 +232,9 @@ void Server::ServeConnection(int fd) {
     ServeHttp(fd, std::string(sniff, 4));
   } else if (got.ok() && *got) {
     bool first = true;
+    // One reply buffer per connection: a large reply's pages are paid
+    // for once, not per request (TrimReplyBuffer bounds what is kept).
+    std::string reply;
     for (;;) {
       char header[kFrameHeaderBytes];
       if (first) {
@@ -277,20 +280,19 @@ void Server::ServeConnection(int fd) {
           break;
         }
       }
-      std::string reply;
       if (h->type == FrameType::kQuery) {
-        reply = HandleQuery(payload);
+        HandleQuery(payload, &reply);
       } else if (h->type == FrameType::kMutation) {
-        reply = HandleMutation(payload);
+        reply.assign(HandleMutation(payload));
       } else {
-        Result<std::string> r = EncodeReply(
+        (void)EncodeReplyInto(
             Status::InvalidArgument("expected a query or mutation frame"),
-            nullptr);
-        reply = r.ok() ? *std::move(r) : std::string();
+            nullptr, &reply);
         MODB_COUNTER_INC("serve.errors");
       }
       if (reply.empty()) break;
       Status s = WriteFrameTimeout(fd, FrameType::kReply, reply, io_ms);
+      TrimReplyBuffer(&reply);
       if (!s.ok()) {
         (void)timed_out(s, /*idle_phase=*/false);
         break;
@@ -335,6 +337,26 @@ void Server::ServeHttp(int fd, const std::string& sniffed) {
         HttpResponse("431 Request Header Fields Too Large",
                      "{\"error\":\"request head exceeds 8192 bytes\"}");
     (void)WriteFullTimeout(fd, response.data(), response.size(), io_ms);
+    // Closing with the rest of the head unread would reset the
+    // connection, and the client would read ECONNRESET instead of the
+    // 431: half-close, then drain what the peer still sends, bounded in
+    // bytes and by the io timeout.
+    ::shutdown(fd, SHUT_WR);
+    constexpr std::size_t kMaxDrain = 1u << 20;
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(io_ms);
+    for (std::size_t drained = 0; drained < kMaxDrain;) {
+      int left_ms = -1;
+      if (io_ms >= 0) {
+        left_ms = int(std::chrono::duration_cast<std::chrono::milliseconds>(
+                          until - std::chrono::steady_clock::now())
+                          .count());
+        if (left_ms <= 0) break;
+      }
+      Result<std::size_t> got = ReadSomeTimeout(fd, buf, sizeof buf, left_ms);
+      if (!got.ok() || *got == 0) break;
+      drained += *got;
+    }
     return;
   }
   const std::size_t path_begin = 4;  // after "GET "
@@ -351,13 +373,12 @@ void Server::ServeHttp(int fd, const std::string& sniffed) {
   (void)WriteFullTimeout(fd, response.data(), response.size(), io_ms);
 }
 
-std::string Server::HandleQuery(const std::string& payload) {
+void Server::HandleQuery(const std::string& payload, std::string* reply) {
   const auto start = std::chrono::steady_clock::now();
   MODB_COUNTER_INC("serve.requests");
-  auto reply_error = [](const Status& s) {
-    Result<std::string> r = EncodeReply(s, nullptr);
+  auto reply_error = [reply](const Status& s) {
+    (void)EncodeReplyInto(s, nullptr, reply);
     MODB_COUNTER_INC("serve.errors");
-    return r.ok() ? *std::move(r) : std::string();
   };
 
   Result<QueryRequest> req = DecodeQueryRequest(payload);
@@ -396,14 +417,14 @@ std::string Server::HandleQuery(const std::string& payload) {
                               .count()));
   if (!result.ok()) return reply_error(result.status());
 
-  Result<std::string> reply = EncodeReply(Status::OK(), &*result);
-  if (!reply.ok()) return reply_error(reply.status());
+  if (Status s = EncodeReplyInto(Status::OK(), &*result, reply); !s.ok()) {
+    return reply_error(s);
+  }
   MODB_HISTOGRAM_RECORD(
       "serve.request_ns",
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  return *std::move(reply);
 }
 
 std::string Server::HandleMutation(const std::string& payload) {

@@ -134,8 +134,10 @@ class Server {
   void ServeConnection(int fd);
   /// Handles one already-sniffed HTTP connection (metrics endpoint).
   void ServeHttp(int fd, const std::string& sniffed);
-  /// Decodes, admits, executes, and encodes one query payload.
-  std::string HandleQuery(const std::string& payload);
+  /// Decodes, admits, executes, and encodes one query payload into
+  /// `*reply` (the connection's reused buffer); leaves it empty when
+  /// not even an error reply could be encoded.
+  void HandleQuery(const std::string& payload, std::string* reply);
   /// Decodes, admits, applies, and acks one mutation payload.
   std::string HandleMutation(const std::string& payload);
 

@@ -549,26 +549,25 @@ namespace {
 
 // Shared reply layout: u32 code, string message, string block, string
 // stats JSON. Errors always carry empty block and stats.
-std::string EncodeReplyFrom(const Status& status, std::string_view block,
-                            std::string_view stats_json) {
-  WireWriter w;
-  w.U32(std::uint32_t(status.code()));
-  w.Str(status.message());
+void AppendReplyFrom(WireWriter* w, const Status& status,
+                     std::string_view block, std::string_view stats_json) {
+  w->U32(std::uint32_t(status.code()));
+  w->Str(status.message());
   if (status.ok()) {
-    w.Str(block);
-    w.Str(stats_json);
+    w->Str(block);
+    w->Str(stats_json);
   } else {
-    w.Str("");
-    w.Str("");
+    w->Str("");
+    w->Str("");
   }
-  return w.Take();
 }
 
-}  // namespace
-
-Result<std::string> EncodeReply(const Status& status,
-                                const QueryResult* result) {
-  if (!status.ok() || result == nullptr) return EncodeReplyFrom(status, "", "");
+Status AppendReply(WireWriter* w, const Status& status,
+                   const QueryResult* result) {
+  if (!status.ok() || result == nullptr) {
+    AppendReplyFrom(w, status, "", "");
+    return Status::OK();
+  }
   const std::string stats_json = result->stats.ToJson();
   // Everything but the block: the code, the message, the stats JSON and
   // the three length prefixes.
@@ -576,26 +575,54 @@ Result<std::string> EncodeReply(const Status& status,
       4 + 4 + status.message().size() + 4 + 4 + stats_json.size();
   Result<std::size_t> block = ResultBlockBytes(*result, rest);
   MODB_RETURN_IF_ERROR(block.status());
-  WireWriter w;
-  w.Reserve(rest + *block);
-  w.U32(std::uint32_t(status.code()));
-  w.Str(status.message());
+  w->Reserve(rest + *block);
+  w->U32(std::uint32_t(status.code()));
+  w->Str(status.message());
   // The block goes straight into the reply; its length is patched once
   // it is in place.
-  const std::size_t at = w.size();
-  w.U32(0);
-  MODB_RETURN_IF_ERROR(AppendResultBlock(&w, *result));
-  w.PatchU32(at, std::uint32_t(w.size() - at - 4));
-  w.Str(stats_json);
-  return w.Take();
+  const std::size_t at = w->size();
+  w->U32(0);
+  MODB_RETURN_IF_ERROR(AppendResultBlock(w, *result));
+  w->PatchU32(at, std::uint32_t(w->size() - at - 4));
+  w->Str(stats_json);
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::string> EncodeReply(const Status& status,
+                                const QueryResult* result) {
+  std::string out;
+  MODB_RETURN_IF_ERROR(EncodeReplyInto(status, result, &out));
+  return out;
+}
+
+Status EncodeReplyInto(const Status& status, const QueryResult* result,
+                       std::string* out) {
+  WireWriter w(std::move(*out));
+  const Status s = AppendReply(&w, status, result);
+  *out = w.Take();
+  if (!s.ok()) out->clear();
+  return s;
+}
+
+void TrimReplyBuffer(std::string* buf) {
+  if (buf->capacity() > kMaxRetainedReplyBytes) {
+    std::string().swap(*buf);
+  } else {
+    buf->clear();
+  }
 }
 
 Result<std::string> EncodeMutationReply(const Status& status,
                                         const MutationResult* ack) {
+  WireWriter w;
   if (status.ok() && ack != nullptr) {
-    return EncodeReplyFrom(status, EncodeMutationAck(*ack), "");
+    AppendReplyFrom(&w, status, EncodeMutationAck(*ack), "");
+  } else {
+    AppendReplyFrom(&w, status, "", "");
   }
-  return EncodeReplyFrom(status, "", "");
+  return w.Take();
 }
 
 Result<WireReply> DecodeReply(std::string_view payload) {

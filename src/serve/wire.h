@@ -74,6 +74,12 @@ Result<FrameHeader> DecodeFrameHeader(std::string_view bytes);
 /// native bytes (the build requires a little-endian host).
 class WireWriter {
  public:
+  WireWriter() = default;
+  /// Writes into `reuse`, cleared but keeping its capacity.
+  explicit WireWriter(std::string reuse) : buf_(std::move(reuse)) {
+    buf_.clear();
+  }
+
   void U8(std::uint8_t v);
   void U16(std::uint16_t v);
   void U32(std::uint32_t v);
@@ -88,7 +94,12 @@ class WireWriter {
   /// the bytes it counts).
   void PatchU32(std::size_t at, std::uint32_t v);
 
-  void Reserve(std::size_t n) { buf_.reserve(n); }
+  /// Grows capacity to `n`. An empty buffer too small for `n` is freed
+  /// first, so a reused buffer and its replacement never coexist.
+  void Reserve(std::size_t n) {
+    if (buf_.empty() && buf_.capacity() < n) std::string().swap(buf_);
+    buf_.reserve(n);
+  }
   std::size_t size() const { return buf_.size(); }
   /// The buffer itself, for encoders that append in place
   /// (AppendAttribute).
@@ -172,6 +183,17 @@ struct WireReply {
 /// (naming the cap) before anything is allocated for it.
 Result<std::string> EncodeReply(const Status& status,
                                 const QueryResult* result);
+/// EncodeReply into `*out`, replacing its contents but keeping its
+/// capacity, so a connection that reuses one buffer pays for a large
+/// reply's pages once. On error `*out` holds no reply.
+Status EncodeReplyInto(const Status& status, const QueryResult* result,
+                       std::string* out);
+
+/// The largest reply buffer a connection keeps between replies.
+inline constexpr std::size_t kMaxRetainedReplyBytes = kMaxFramePayload / 8;
+/// Releases `*buf`'s memory when its capacity exceeds
+/// kMaxRetainedReplyBytes; keeps it (and clears it) otherwise.
+void TrimReplyBuffer(std::string* buf);
 /// Reply to a mutation: same layout, the block is a mutation ack and
 /// the stats JSON is empty.
 Result<std::string> EncodeMutationReply(const Status& status,

@@ -13,11 +13,22 @@
 //   - a built tree, a prebuilt tree, hand-split base/delta/mem layers
 //     and a live relation's own layers with unsealed units;
 //   - 1, 2 and 4 threads.
+// A live outer's sealed history probes once per block of kUnitsPerBlock
+// units and rechecks each block hit against the block's units; that
+// path is pinned the same way over trails with zero, one and many full
+// blocks, seal frontiers inside a block, and pairs that meet inside a
+// block, only at a block's boundary instant, or only in the unsealed
+// suffix — against the live relation's own layers and against a static
+// prebuilt inner.
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -28,6 +39,7 @@
 #include "exec/pipeline.h"
 #include "gen/trajectory_gen.h"
 #include "index/delta_index.h"
+#include "ingest/live_relation.h"
 #include "obs/metrics.h"
 #include "serve/wire.h"
 #include "temporal/lifted_ops.h"
@@ -78,20 +90,21 @@ bool JoinPredicate(const Tuple& a, std::size_t i, const Tuple& b,
                         std::get<MovingPoint>(b[kTrailSlot]), d);
 }
 
-// The reference self join of `rows`, named and typed like `like`.
-QueryResult ReferenceJoin(const Relation& rows, double d, bool distinct,
-                          const Relation& like) {
-  Result<RTree3D> tree = BuildMovingPointIndex(rows, kTrailSlot);
+// The reference join of `outer` with `inner`, named and typed like
+// `like`.
+QueryResult ReferenceJoin(const Relation& outer, const Relation& inner,
+                          double d, bool distinct, const Relation& like) {
+  Result<RTree3D> tree = BuildMovingPointIndex(inner, kTrailSlot);
   EXPECT_TRUE(tree.ok()) << tree.status();
   const IndexLayersView view = IndexLayersView::Single(&*tree);
   QueryResult r;
   r.payload = QueryResult::Payload::kRows;
   r.rows = Relation(like.name(), like.schema());
-  for (std::size_t i = 0; i < rows.NumTuples(); ++i) {
-    const Tuple& a = rows.tuple(i);
+  for (std::size_t i = 0; i < outer.NumTuples(); ++i) {
+    const Tuple& a = outer.tuple(i);
     const MovingPoint& mp = std::get<MovingPoint>(a[kTrailSlot]);
     for (std::int64_t j : ReferenceCandidates(mp, i, d, false, view)) {
-      const Tuple& b = rows.tuple(std::size_t(j));
+      const Tuple& b = inner.tuple(std::size_t(j));
       if (!JoinPredicate(a, i, b, std::size_t(j), d, distinct)) continue;
       Tuple joined = a;
       joined.insert(joined.end(), b.begin(), b.end());
@@ -226,16 +239,21 @@ std::vector<RTree3D::Entry> TrailEntries(const Relation& rel) {
   return entries;
 }
 
-// Candidate lists of every row of `rel` against `view`, new vs
-// reference; returns the total candidate count.
-std::uint64_t ExpectSameCandidates(const Relation& rel,
-                                   const IndexLayersView& view, double d,
-                                   bool distinct, ProbeScratch* scratch) {
+// Candidate lists of every row of `rel` against `view` (an index over
+// `inner`, `rel` itself by default), new vs reference; the probe reads
+// `rel`'s block cubes from `blocks` when given. Returns the total
+// candidate count.
+std::uint64_t ExpectSameCandidates(
+    const Relation& rel, const IndexLayersView& view, double d,
+    bool distinct, ProbeScratch* scratch,
+    std::optional<UnitBlocksView> blocks = std::nullopt,
+    const Relation* inner = nullptr) {
   exec::JoinProbeOp op;
-  op.inner = &rel;
+  op.inner = inner != nullptr ? inner : &rel;
   op.attr_outer = kTrailSlot;
   op.expand = d;
   op.distinct_pairs = distinct;
+  op.outer_blocks = blocks;
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < rel.NumTuples(); ++i) {
     const auto& mp = std::get<MovingPoint>(rel.tuple(i)[kTrailSlot]);
@@ -362,13 +380,19 @@ QueryRequest SelfJoin(const std::string& rel, double d, bool distinct) {
   return q;
 }
 
-// Every served self join of `name` against the reference, at every
-// distance, distinct setting and thread count; returns the rows seen.
-std::uint64_t ExpectServedJoinsMatch(const Db& db, const std::string& name) {
+// Every served join of `name` with `inner_name` (a self join by
+// default) against the reference, at every distance, distinct setting
+// and thread count; returns the rows seen.
+std::uint64_t ExpectServedJoinsMatch(const Db& db, const std::string& name,
+                                     const std::string& inner_name = "") {
+  const std::string inner = inner_name.empty() ? name : inner_name;
   QueryRequest all;
   all.relation = name;
   Result<QueryResult> rows = db.Run(all);
   EXPECT_TRUE(rows.ok()) << rows.status();
+  all.relation = inner;
+  Result<QueryResult> inner_rows = db.Run(all);
+  EXPECT_TRUE(inner_rows.ok()) << inner_rows.status();
   std::uint64_t seen = 0;
   for (double d : kDistances) {
     for (bool distinct : kDistinct) {
@@ -377,11 +401,14 @@ std::uint64_t ExpectServedJoinsMatch(const Db& db, const std::string& name) {
       for (int threads : kThreads) {
         ExecOptions options;
         options.parallel.num_threads = threads;
-        Result<QueryResult> got = db.Run(SelfJoin(name, d, distinct), options);
+        QueryRequest join = SelfJoin(name, d, distinct);
+        join.join_relation = inner;
+        Result<QueryResult> got = db.Run(join, options);
         EXPECT_TRUE(got.ok()) << got.status();
         if (!got.ok()) continue;
         if (threads == kThreads[0]) {
-          want = Block(ReferenceJoin(rows->rows, d, distinct, got->rows));
+          want = Block(ReferenceJoin(rows->rows, inner_rows->rows, d,
+                                     distinct, got->rows));
           want_candidates = got->stats.index_candidates;
           seen += got->rows.NumTuples();
         }
@@ -444,6 +471,255 @@ TEST(JoinProbe, ServedLiveJoinsAreByteIdenticalToPerUnitProbe) {
   ASSERT_GT(last.base_entries, 0u);
   ASSERT_GT(last.delta_entries, 0u);
   ASSERT_GT(last.mem_units, 0u);
+  EXPECT_GT(ExpectServedJoinsMatch(db, "fleet"), 0u);
+}
+
+
+// ---- live outers: one traversal per sealed block ------------------------
+
+// One object of the block fleet: fixes at t = start .. start + fixes - 1
+// in lane y = lane. The x velocity alternates (1.5, 0.5) and y wiggles,
+// so no two consecutive units merge and unit k of the trail starts at
+// t = start + k.
+struct LaneObject {
+  int start;
+  int fixes;
+  double lane;
+};
+
+Point LanePoint(const LaneObject& o, int t) {
+  const int k = t - o.start;
+  return Point(double(t) + 0.5 * double(k % 2), o.lane + 0.25 * double(k % 3));
+}
+
+// Lanes and the planned meetings (d = 50 separates lanes 30 apart from
+// lanes 1000 apart; d = 1000 joins neighbouring lanes):
+//   0, 1   1099 units each (four full blocks, frontier inside the fifth),
+//          30 apart for their whole history;
+//   2, 3   meet at t = 300 only, inside block 1 of both: object 2 leaves
+//          its lane for one fix;
+//   4, 5   meet at t = 512 only, the boundary instant of blocks 1 and 2:
+//          object 5 visits object 4 for one fix;
+//   6, 7   meet at the last fix only, in the unsealed suffix;
+//   8      200 units: no full block;
+//   9      400 units: one full block, frontier inside the second;
+//   10     starts at t = 600 beside lanes 0 and 1: blocks that do not
+//          start at the others' block boundaries;
+//   11, 12 object 12 starts at t = 512 inside the x range of object 11's
+//          unit 511 (the last of its block 1), not of its unit 512, and
+//          leaves the lane: the cubes touch only at t = 512, the end of
+//          object 11's block 1 and the start of object 12's block 0;
+//   13     starts at t = 1024 inside the x range of object 11's unit
+//          1024 only, its first unit after the last full block.
+const std::vector<LaneObject>& BlockFleet() {
+  static const std::vector<LaneObject> fleet = {
+      {0, 1100, 0},     {0, 1100, 30},   {0, 1100, 3000}, {0, 1100, 4000},
+      {0, 1100, 6000},  {0, 1100, 7000}, {0, 1100, 9000}, {0, 1100, 10000},
+      {0, 201, 12000},  {0, 401, 14000}, {600, 500, 60},  {0, 1100, 16000},
+      {512, 588, 16000}, {1024, 76, 16000}};
+  return fleet;
+}
+
+Point BlockFleetPoint(std::size_t o, int t) {
+  const std::vector<LaneObject>& fleet = BlockFleet();
+  const LaneObject& obj = fleet[o];
+  if (o == 2 && t == 300) return LanePoint(fleet[3], t);
+  if (o == 5 && t == 512) return LanePoint(fleet[4], t);
+  if (o == 7 && t == obj.start + obj.fixes - 1) return LanePoint(fleet[6], t);
+  if (o == 12 || o == 13) {
+    // Unit 511 of object 11 spans x [511.5, 512], y [16000.25, 16000.5],
+    // and its unit 512 starts at x = 512; unit 1024 spans x
+    // [1024, 1025.5], between units ending and starting outside it.
+    const int k = t - obj.start;
+    return Point(o == 12 ? 511.7 : 1024.7,
+                 16000.3 + 500.0 * k + 10.0 * (k % 2));
+  }
+  return LanePoint(obj, t);
+}
+
+// The block fleet's fixes in time order, in batches of 64.
+std::vector<std::vector<ingest::IngestFix>> BlockFleetBatches() {
+  std::vector<std::vector<ingest::IngestFix>> batches(1);
+  const std::vector<LaneObject>& fleet = BlockFleet();
+  for (int t = 0; t < 1100; ++t) {
+    for (std::size_t o = 0; o < fleet.size(); ++o) {
+      if (t < fleet[o].start || t >= fleet[o].start + fleet[o].fixes) continue;
+      const Point p = BlockFleetPoint(o, t);
+      if (batches.back().size() == 64) batches.emplace_back();
+      batches.back().push_back(
+          {"lane" + std::to_string(o), double(t), p.x, p.y});
+    }
+  }
+  return batches;
+}
+
+ingest::LiveOptions BlockFleetOptions() {
+  ingest::LiveOptions live;
+  live.seal_units = 8;
+  live.merge_threshold = 2048;
+  live.fanout = 16;
+  return live;
+}
+
+// A static relation of straight routes crossing the block fleet's lanes.
+Relation Crossers() {
+  Relation rel("crossers", TrailSchema());
+  for (int o = 0; o < 6; ++o) {
+    const Point from(100.0 + 150.0 * o, -500);
+    const Point to(300.0 + 150.0 * o, 15000);
+    Result<MovingPoint> mp = StraightRoute(from, to, 40.0 * o, 600, 30);
+    EXPECT_TRUE(mp.ok()) << mp.status();
+    EXPECT_TRUE(
+        rel.Insert({StringValue("c" + std::to_string(o)), *std::move(mp)})
+            .ok());
+  }
+  return rel;
+}
+
+TEST(JoinProbe, BlockCandidatesMatchPerUnitProbe) {
+  ingest::LiveRelation live("fleet", BlockFleetOptions());
+  for (const auto& batch : BlockFleetBatches()) {
+    ASSERT_TRUE(live.Ingest(batch).ok());
+  }
+  const Relation& rel = live.relation();
+  const UnitBlocksView blocks = live.Blocks();
+  // Rows register in order of first fix, so look them up by object.
+  auto row = [&live](int o) {
+    return std::int64_t(*live.RowOf("lane" + std::to_string(o)));
+  };
+  // Zero, one and many full blocks, and frontiers inside a block.
+  const std::size_t expect_blocks[] = {4, 4, 4, 4, 4, 4, 4,
+                                       4, 0, 1, 1, 4, 2, 0};
+  ASSERT_EQ(rel.NumTuples(), BlockFleet().size());
+  for (int o = 0; o < int(BlockFleet().size()); ++o) {
+    const std::size_t i = std::size_t(row(o));
+    EXPECT_EQ(blocks.Row(i).size(), expect_blocks[o]) << "object " << o;
+    if (expect_blocks[o] > 0) {
+      EXPECT_NE(live.tail(i).sealed() % kUnitsPerBlock, 0u) << "object " << o;
+    }
+  }
+  EXPECT_TRUE(blocks.Row(rel.NumTuples()).empty());
+  const Relation crossers = Crossers();
+  const RTree3D static_tree = RTree3D::BulkLoad(TrailEntries(crossers), 16);
+  for (double d : kDistances) {
+    for (bool distinct : kDistinct) {
+      ProbeScratch scratch;
+      const std::uint64_t self = ExpectSameCandidates(
+          rel, live.View(), d, distinct, &scratch, blocks);
+      EXPECT_GT(self, 0u);
+      ExpectSameCandidates(rel, IndexLayersView::Single(&static_tree), d,
+                           distinct, &scratch, blocks, &crossers);
+    }
+  }
+  // The planned meetings are candidates at d = 0; lanes 30 apart are not.
+  ProbeScratch scratch;
+  exec::JoinProbeOp op;
+  op.inner = &rel;
+  op.attr_outer = kTrailSlot;
+  op.outer_blocks = blocks;
+  // The candidate rows of object o, as sorted object numbers.
+  auto candidates = [&](int o) {
+    const std::size_t i = std::size_t(row(o));
+    const auto& mp = std::get<MovingPoint>(rel.tuple(i)[kTrailSlot]);
+    EXPECT_TRUE(
+        exec::CollectJoinCandidates(mp, i, op, live.View(), &scratch).ok());
+    std::vector<int> objects;
+    for (int p = 0; p < int(BlockFleet().size()); ++p) {
+      if (std::count(scratch.candidates.begin(), scratch.candidates.end(),
+                     row(p)) != 0) {
+        objects.push_back(p);
+      }
+    }
+    return objects;
+  };
+  using Ids = std::vector<int>;
+  EXPECT_EQ(candidates(0), (Ids{0}));
+  EXPECT_EQ(candidates(2), (Ids{2, 3}));
+  EXPECT_EQ(candidates(4), (Ids{4, 5}));
+  EXPECT_EQ(candidates(6), (Ids{6, 7}));
+  EXPECT_EQ(candidates(11), (Ids{11, 12, 13}));
+  EXPECT_EQ(candidates(12), (Ids{11, 12}));
+  EXPECT_EQ(candidates(13), (Ids{11, 13}));
+  // A lone lane rechecks a handful of its own units, not its history.
+  const std::size_t units_9 =
+      std::get<MovingPoint>(rel.tuple(std::size_t(row(9)))[kTrailSlot])
+          .units()
+          .size();
+  EXPECT_EQ(candidates(9), (Ids{9}));
+  EXPECT_LT(scratch.units_scanned, units_9 - kUnitsPerBlock + 8);
+}
+
+TEST(JoinProbe, ServedBlockJoinsAreByteIdenticalToPerUnitProbe) {
+  Db db;
+  ASSERT_TRUE(db.RegisterLive("fleet", BlockFleetOptions()).ok());
+  for (const auto& batch : BlockFleetBatches()) {
+    MutationRequest m;
+    m.relation = "fleet";
+    m.fixes.reserve(batch.size());
+    for (const ingest::IngestFix& f : batch) {
+      m.fixes.push_back({f.object_id, f.t, f.x, f.y});
+    }
+    ASSERT_TRUE(db.Apply(m).ok());
+  }
+  ASSERT_TRUE(db.Register(Crossers()).ok());
+  ASSERT_TRUE(db.BuildIndex("crossers", "trail").ok());
+  // Live outer x live inner, and live outer x static prebuilt inner.
+  EXPECT_GT(ExpectServedJoinsMatch(db, "fleet"), 0u);
+  EXPECT_GT(ExpectServedJoinsMatch(db, "fleet", "crossers"), 0u);
+
+  // The join's stats count the units the probe touched: far fewer than
+  // the history when no block meets another trail.
+  std::uint64_t units = 0;
+  for (const LaneObject& o : BlockFleet()) units += std::uint64_t(o.fixes - 1);
+  Result<QueryResult> join = db.Run(SelfJoin("fleet", 0, true));
+  ASSERT_TRUE(join.ok()) << join.status();
+  EXPECT_GT(join->stats.units_scanned, 0u);
+  EXPECT_LT(join->stats.units_scanned, units / 4);
+}
+
+
+// Live joins read the block cubes while ingest appends to them (under
+// the Db lock): queries interleaved with every batch stay well-formed,
+// and the final join still matches the reference. The tsan preset runs
+// this with no suppressions.
+TEST(JoinProbe, BlockJoinsRunBesideIngest) {
+  Db db;
+  ASSERT_TRUE(db.RegisterLive("fleet", BlockFleetOptions()).ok());
+  std::atomic<int> applied{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (const auto& batch : BlockFleetBatches()) {
+      MutationRequest m;
+      m.relation = "fleet";
+      for (const ingest::IngestFix& f : batch) {
+        m.fixes.push_back({f.object_id, f.t, f.x, f.y});
+      }
+      EXPECT_TRUE(db.Apply(m).ok());
+      ++applied;
+    }
+    done = true;
+  });
+  // At most one join per reader per batch, so readers cannot keep the
+  // writer off the lock.
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      ExecOptions options;
+      options.parallel.num_threads = 2;
+      for (int seen = -1; !done;) {
+        if (applied == seen) {
+          std::this_thread::yield();
+          continue;
+        }
+        seen = applied;
+        Result<QueryResult> got =
+            db.Run(SelfJoin("fleet", r == 0 ? 0 : 50, r == 0), options);
+        ASSERT_TRUE(got.ok()) << got.status();
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
   EXPECT_GT(ExpectServedJoinsMatch(db, "fleet"), 0u);
 }
 

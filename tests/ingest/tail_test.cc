@@ -8,6 +8,7 @@
 #include "ingest/tail.h"
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,6 +167,93 @@ TEST(TailSeries, SingleFixHasAnchorButNoUnits) {
   Result<MovingPoint> mp = tail.Materialize();
   ASSERT_TRUE(mp.ok());
   EXPECT_EQ(0u, mp->units().size());
+}
+
+
+// A long walk whose heading repeats every tenth step, so some fixes
+// merge into one unit and block b's units are not fixes
+// [256b, 256(b+1)).
+std::vector<Fix> LongWalk(std::size_t n) {
+  std::vector<Fix> fixes;
+  Point p(0, 0);
+  double dx = 1, dy = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    fixes.push_back({double(i), p});
+    if (i % 10 != 0) {  // consecutive headings differ (7 and 3 mod 11, 7)
+      dx = double(int(i * 7 % 11) - 5) * 0.5;
+      dy = double(int(i * 3 % 7) - 3) * 0.75;
+    }
+    p = Point(p.x + dx, p.y + dy);
+  }
+  return fixes;
+}
+
+void ExpectSameCube(const Cube& got, const Cube& want, const std::string& at) {
+  const double g[6] = {got.rect.min_x, got.rect.min_y, got.rect.max_x,
+                       got.rect.max_y, got.min_t,      got.max_t};
+  const double w[6] = {want.rect.min_x, want.rect.min_y, want.rect.max_x,
+                       want.rect.max_y, want.min_t,      want.max_t};
+  EXPECT_EQ(0, std::memcmp(g, w, sizeof g)) << at;
+}
+
+// Every full block below the frontier has its cube, and each is the
+// union of its units' cubes.
+void ExpectBlocksAreUnitUnions(const TailSeries& tail, const std::string& at) {
+  ASSERT_EQ(tail.sealed_blocks().size(), tail.sealed() / kUnitsPerBlock)
+      << at;
+  for (std::size_t b = 0; b < tail.sealed_blocks().size(); ++b) {
+    Cube want;
+    for (std::size_t u = b * kUnitsPerBlock; u < (b + 1) * kUnitsPerBlock;
+         ++u) {
+      want.Extend(tail.units()[u].BoundingCube());
+    }
+    ExpectSameCube(tail.sealed_blocks()[b], want,
+                   at + " block " + std::to_string(b));
+  }
+}
+
+TEST(TailSeries, SealedBlockCubesAreUnitUnionsAndSurviveResume) {
+  const std::vector<Fix> fixes = LongWalk(1400);
+  TailSeries tail;
+  for (std::size_t i = 0; i < fixes.size(); ++i) {
+    ASSERT_TRUE(tail.Absorb(fixes[i].t, fixes[i].p).ok());
+    if (i % 7 == 6) {
+      tail.Seal();
+      ExpectBlocksAreUnitUnions(tail, "after fix " + std::to_string(i));
+    }
+  }
+  tail.Seal();
+  ExpectBlocksAreUnitUnions(tail, "sealed");
+  ASSERT_GE(tail.sealed_blocks().size(), 3u);
+  ASSERT_LT(tail.NumUnits(), fixes.size() - 1) << "no unit merged";
+
+  Result<MovingPoint> persisted = tail.Materialize();
+  ASSERT_TRUE(persisted.ok());
+  Result<TailSeries> resumed =
+      TailSeries::Resume(*persisted, tail.last_time(), tail.last_point());
+  ASSERT_TRUE(resumed.ok());
+  ASSERT_EQ(resumed->sealed_blocks().size(), tail.sealed_blocks().size());
+  for (std::size_t b = 0; b < tail.sealed_blocks().size(); ++b) {
+    ExpectSameCube(resumed->sealed_blocks()[b], tail.sealed_blocks()[b],
+                   "resumed block " + std::to_string(b));
+  }
+
+  // Both keep growing the same blocks.
+  Point p = tail.last_point();
+  for (int i = 1; i <= 600; ++i) {
+    p = Point(p.x + (i % 2 == 0 ? 1.0 : -0.5), p.y + 0.25);
+    const Instant t = tail.last_time() + 1;
+    ASSERT_TRUE(tail.Absorb(t, p).ok());
+    ASSERT_TRUE(resumed->Absorb(t, p).ok());
+  }
+  tail.Seal();
+  resumed->Seal();
+  ExpectBlocksAreUnitUnions(*resumed, "resumed, extended");
+  ASSERT_EQ(resumed->sealed_blocks().size(), tail.sealed_blocks().size());
+  for (std::size_t b = 0; b < tail.sealed_blocks().size(); ++b) {
+    ExpectSameCube(resumed->sealed_blocks()[b], tail.sealed_blocks()[b],
+                   "extended block " + std::to_string(b));
+  }
 }
 
 }  // namespace

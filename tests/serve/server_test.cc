@@ -914,16 +914,20 @@ TEST_F(ServerTest, HttpHeadSplitAcrossWritesStillParses) {
 
 TEST_F(ServerTest, HttpHeadOver8KiBIsRejected) {
   StartServer();
-  Result<int> fd = ConnectTcp("127.0.0.1", server_->port());
-  ASSERT_TRUE(fd.ok()) << fd.status();
-  // 8 KiB without the head's terminator: the server reads all of it
-  // (so its close is a clean FIN, not a reset) and rejects the head.
-  std::string request = "GET /metrics HTTP/1.0\r\nX-Pad: ";
-  request.resize(8192, 'a');
-  ASSERT_TRUE(WriteFull(*fd, request.data(), request.size()).ok());
-  const std::string response = ReadToEof(*fd);
-  CloseFd(*fd);
-  EXPECT_EQ(response.rfind("HTTP/1.0 431", 0), 0u) << response;
+  // Heads longer than the 8 KiB bound, never terminated: the server
+  // answers 431 after 8 KiB and drains the rest before it closes, so the
+  // client reads the reply, not a reset.
+  for (std::size_t size : {std::size_t(9) << 10, std::size_t(64) << 10}) {
+    Result<int> fd = ConnectTcp("127.0.0.1", server_->port());
+    ASSERT_TRUE(fd.ok()) << fd.status();
+    std::string request = "GET /metrics HTTP/1.0\r\nX-Pad: ";
+    request.resize(size, 'a');
+    ASSERT_TRUE(WriteFull(*fd, request.data(), request.size()).ok());
+    const std::string response = ReadToEof(*fd);
+    CloseFd(*fd);
+    EXPECT_EQ(response.rfind("HTTP/1.0 431", 0), 0u)
+        << size << " bytes: " << response;
+  }
 }
 
 TEST(FetchMetricsJson, LargeBodyRoundTripsByteIdentical) {

@@ -741,6 +741,40 @@ TEST(GoldenBytes, ReplyAndFrameAreUnchanged) {
   ExpectGolden(frame, {1818u, 0xd5aa7aa863037650ull}, "rows reply frame");
 }
 
+// A connection encodes every reply into one buffer: a reply that fits
+// its capacity reuses the same memory and writes the same bytes as a
+// fresh EncodeReply; TrimReplyBuffer releases a buffer grown past
+// kMaxRetainedReplyBytes and keeps any other.
+TEST(ReplyCodec, ReplyBufferIsReusedAndReleasedPastTheBound) {
+  const QueryResult rows = GoldenRows();
+  Result<std::string> fresh = EncodeReply(Status::OK(), &rows);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+
+  std::string buf;
+  buf.reserve(64 << 10);
+  const char* const memory = buf.data();
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(EncodeReplyInto(Status::OK(), &rows, &buf).ok());
+    EXPECT_EQ(buf, *fresh) << "round " << round;
+    EXPECT_EQ(buf.data(), memory) << "round " << round;
+    TrimReplyBuffer(&buf);
+    EXPECT_TRUE(buf.empty());
+    EXPECT_EQ(buf.data(), memory) << "kept below the bound";
+  }
+  // An error reply reuses the buffer too.
+  const Status rejected = Status::ResourceExhausted("busy");
+  ASSERT_TRUE(EncodeReplyInto(rejected, nullptr, &buf).ok());
+  EXPECT_EQ(buf, *EncodeReply(rejected, nullptr));
+  EXPECT_EQ(buf.data(), memory);
+
+  buf.reserve(kMaxRetainedReplyBytes + 1);
+  ASSERT_TRUE(EncodeReplyInto(Status::OK(), &rows, &buf).ok());
+  EXPECT_EQ(buf, *fresh);
+  TrimReplyBuffer(&buf);
+  EXPECT_TRUE(buf.empty());
+  EXPECT_LE(buf.capacity(), kMaxRetainedReplyBytes);
+}
+
 // ---------------------------------------------------------------------------
 // Fuzz: random garbage through every decoder. The contract is "typed
 // error or a valid decode", never a crash, hang, or over-read.

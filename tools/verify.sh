@@ -4,7 +4,8 @@
 #   default       RelWithDebInfo, metrics off by default, fault hooks on
 #   asan-metrics  ASan+UBSan with the metrics registry enabled
 #   nometrics     metrics AND fault hooks compiled out (stub paths)
-# then a Release (-O3 -DNDEBUG) build runs the perf smoke + thread
+# then the concurrent suites under ThreadSanitizer (tsan preset), then a
+# Release (-O3 -DNDEBUG) build runs the perf smoke + thread
 # scaling gates, re-recording the repo-root BENCH_*.json snapshots.
 # Usage: tools/verify.sh [preset ...]   (defaults to all three)
 set -euo pipefail
@@ -80,6 +81,21 @@ for preset in "${presets[@]}"; do
   ctest --preset "$preset" -j "$jobs"
   run_device_smoke "$preset"
   run_crashloop "$preset"
+done
+
+# ThreadSanitizer (tsan preset) over the suites whose code runs
+# concurrently: live joins reading trails and block cubes beside
+# ingest, morsel workers, the batch sink, the metrics registry and the
+# sharded buffer pool. No suppressions; the first report fails the run.
+echo "==== [tsan] configure + build ===="
+tsan_tests=(join_probe_test tail_test live_differential_test modb_test
+            batch_sink_test pipeline_test metrics_test buffer_pool_test)
+cmake --preset tsan
+cmake --build --preset tsan -j "$jobs" --target "${tsan_tests[@]}"
+echo "==== [tsan] test ===="
+for t in "${tsan_tests[@]}"; do
+  TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
+    "build-tsan/tests/$t" --gtest_brief=1
 done
 
 # Perf smoke on a Release (-O3 -DNDEBUG) build: export the key
